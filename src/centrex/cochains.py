@@ -133,7 +133,11 @@ def face_map(group, p, i, elements):
 
 
 def _face_grids(table, grids, i):
-    """Pull the index grids of G^{p+1} back through the face d_i."""
+    """Pull the index grids of G^{p+1} back through the face d_i.
+
+    The array form of ``face_map``: ``delta`` indexes a cochain with the
+    result and ``cohomology.delta_matrix`` flattens it into columns.
+    """
     q = len(grids)
     if i == 0:
         return tuple(grids[1:])

@@ -15,7 +15,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .cochains import Cochain, delta
+from .cochains import Cochain, _face_grids, delta
 from .errors import CapacityError
 
 MAX_GROUP_ORDER = 32
@@ -35,24 +35,16 @@ def check_capacity(group, n):
 
 
 def delta_matrix(group, p):
-    """Integer matrix of the bar differential M^p -> M^{p+1} (row-major)."""
+    """Integer matrix of the bar differential M^p -> M^{p+1} (row-major),
+    built from the same face grids as ``delta``."""
     m = group.order
     rows, cols = m ** (p + 1), m ** p
     A = np.zeros((rows, cols), dtype=np.int64)
     grids = np.indices((m,) * (p + 1)).reshape(p + 1, -1)
     row_ids = np.arange(rows)
     for i in range(p + 2):
-        if i == 0:
-            face = grids[1:]
-        elif i == p + 1:
-            face = grids[:-1]
-        else:
-            merged = group.table[grids[i - 1], grids[i]]
-            face = np.vstack([grids[:i - 1], merged[None, :], grids[i + 1:]])
-        if p == 0:
-            col_ids = np.zeros(rows, dtype=np.int64)
-        else:
-            col_ids = np.ravel_multi_index(tuple(face), (m,) * p)
+        face = _face_grids(group.table, grids, i)
+        col_ids = np.ravel_multi_index(face, (m,) * p) if p else 0
         np.add.at(A, (row_ids, col_ids), (-1) ** i)
     return A
 
@@ -234,13 +226,13 @@ def smith_normal_form(A, track_u=False):
     return SNFResult(diag=diag, V=st.V, Vinv=st.Vinv, U=st.U, Uinv=st.Uinv)
 
 
-def kernel_mod(A, n, snf=None):
+def kernel_mod(A, n):
     """Kernel of A over Z/n: (size, generator columns, orders, snf result).
 
     The generators are independent: the kernel is the direct sum of the
     cyclic groups they generate.
     """
-    res = snf or smith_normal_form(A)
+    res = smith_normal_form(A)
     k = A.shape[1]
     gens, orders = [], []
     size = 1
@@ -320,16 +312,23 @@ class SecondCohomology:
 def cocycle_space(group, n):
     """Solution set of delta(c) = 0 in degree 2 over Z/n."""
     check_capacity(group, n)
-    A = delta_matrix(group, 2)
-    size, gens, orders, res = kernel_mod(A, n)
-    generators = [Cochain(group, n, 2, g) for g in gens]
-    return CocycleSpace(group, n, size, generators, orders, res)
+    return _cocycle_space(group, n)
 
 
 def coboundary_space(group, n):
     """Image of the degree-1 differential over Z/n."""
     check_capacity(group, n)
-    A = delta_matrix(group, 1)
+    return _coboundary_space(group, n, delta_matrix(group, 1))
+
+
+def _cocycle_space(group, n):
+    size, gens, orders, res = kernel_mod(delta_matrix(group, 2), n)
+    generators = [Cochain(group, n, 2, g) for g in gens]
+    return CocycleSpace(group, n, size, generators, orders, res)
+
+
+def _coboundary_space(group, n, A):
+    """B^2 as the image of the degree-1 delta matrix A."""
     m = group.order
     ker_size, _, _, _ = kernel_mod(A, n)
     size = n**m // ker_size
@@ -340,8 +339,9 @@ def coboundary_space(group, n):
 def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
     """H^2 = Z^2 / B^2 with one representative cocycle per class."""
     check_capacity(group, n)
-    zspace = cocycle_space(group, n)
-    bspace = coboundary_space(group, n)
+    zspace = _cocycle_space(group, n)
+    A1 = delta_matrix(group, 1)
+    bspace = _coboundary_space(group, n, A1)
     m = group.order
     k = m * m
     res2 = zspace.snf
@@ -349,9 +349,8 @@ def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
     scale = np.array([n // gcd(d, n) for d in diag2], dtype=object)
     # lattice of cocycle lifts: columns of V2 * scale span {x : delta x = 0 mod n}
     BZ = res2.V.astype(object) * scale[None, :]
-    MB = np.concatenate(
-        [delta_matrix(group, 1).astype(object),
-         n * np.eye(k, dtype=object)], axis=1)
+    MB = np.concatenate([A1.astype(object), n * np.eye(k, dtype=object)],
+                        axis=1)
     W = res2.Vinv.astype(object) @ MB
     if np.any(np.vectorize(lambda w, s: w % s)(W, scale[:, None]) != 0):
         raise AssertionError("coboundary lattice escapes the cocycle lattice")
@@ -391,7 +390,8 @@ def cohomologous(c1, c2):
     if x is None:
         return None
     d = Cochain(group, n, 1, x)
-    assert (delta(d) - (c1 - c2)).is_zero
+    if not (delta(d) - (c1 - c2)).is_zero:
+        raise AssertionError("solve_mod witness fails delta(d) = c1 - c2")
     return d
 
 
@@ -447,10 +447,18 @@ class OracleClassification:
     b2_size: int
     h2_size: int
     class_keys: list
+    coboundaries: np.ndarray = field(repr=False)
+
+    def key(self, cochain):
+        """``class_key`` of a degree-2 cochain against the enumerated B^2."""
+        return class_key(cochain.values.reshape(-1), self.coboundaries,
+                         cochain.modulus)
 
 
 def exhaustive_second_cohomology(group, n):
-    """Brute-force classification: enumerate, filter, partition."""
+    """Brute-force classification: enumerate, filter, partition.
+
+    Raises CapacityError when n^(m^2) exceeds ORACLE_LIMIT."""
     cocycles = exhaustive_cocycles(group, n)
     coboundaries = exhaustive_coboundaries(group, n)
     keys = sorted({class_key(c, coboundaries, n) for c in cocycles})
@@ -459,4 +467,5 @@ def exhaustive_second_cohomology(group, n):
         b2_size=len(coboundaries),
         h2_size=len(keys),
         class_keys=keys,
+        coboundaries=coboundaries,
     )

@@ -62,11 +62,6 @@ class GammaReport:
     (alpha, R): closed integral R, delta R = d alpha, delta alpha = 0,
     antisymmetry/bilinearity, left invariance."""
 
-    residual_dalpha: float | None
-    residual_deltaalpha: float | None
-    residual_dR: float | None
-    residual_antisym: float | None
-    period_over_2pi_i: float | None
     checks: list = field(default_factory=list)
 
     @property
@@ -136,8 +131,7 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
 
         worst["left_invariance"] = max(
             worst["left_invariance"],
-            left_invariance_check(g3, g1, g2, x1),
-            abs(eval_R(x1, y1) - eval_R(x1, y1)))
+            left_invariance_check(g3, g1, g2, x1))
 
         worst["left_invariance_fd"] = max(
             worst["left_invariance_fd"],
@@ -153,15 +147,7 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
             passed=(residual is None or residual <= tol[name]),
             trials=trials,
         ))
-    by_name = {c.name: c.residual for c in checks}
-    return GammaReport(
-        residual_dalpha=by_name["delta_R_vs_d_alpha"],
-        residual_deltaalpha=by_name["delta_alpha"],
-        residual_dR=by_name["closedness"],
-        residual_antisym=by_name["antisymmetry"],
-        period_over_2pi_i=None,
-        checks=checks,
-    )
+    return GammaReport(checks=checks)
 
 
 def pushforward_fd_residual(g1, g2, x1, x2, h=PUSHFORWARD_STEP):
@@ -197,8 +183,7 @@ def full_gamma_report(dim=2, samples=128, modes=3, trials=100, seed=0,
     report = run_gamma_battery(dim=dim, samples=samples, modes=modes,
                                trials=trials, seed=seed, step=step)
     if dim == 2:
-        results, check = run_period_check(grid=grid, samples=samples)
-        report.period_over_2pi_i = results[-1]["period"]
+        _, check = run_period_check(grid=grid, samples=samples)
         report.checks.append(check)
     return report
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from centrex import cohomology
 from centrex.cli import main
 from centrex.cochains import Cochain, format_cochain
 from centrex.groups import cyclic, dihedral, format_group_table, klein_four
@@ -54,6 +55,23 @@ def test_h2_v4_fingerprints(files, tmp_path):
     d4 = (1, 2, 2, 2, 2, 2, 4, 4)
     assert orders.count(q8) == 1
     assert orders.count(d4) >= 1
+
+
+def test_h2_builds_each_space_once(files, monkeypatch):
+    # Z^2, B^2 and the quotient lattice: one distinct Smith normal form each
+    inputs = []
+    real = cohomology.smith_normal_form
+
+    def counting(A, track_u=False):
+        a = np.asarray(A)
+        inputs.append((a.shape, tuple(a.ravel().tolist())))
+        return real(A, track_u=track_u)
+
+    monkeypatch.setattr(cohomology, "smith_normal_form", counting)
+    for name, n in (("v4", "2"), ("z3", "3"), ("z3", "1")):
+        inputs.clear()
+        assert main(["h2", "--group", files[name], "--modulus", n]) == 0
+        assert len(inputs) == 3 and len(set(inputs)) == 3
 
 
 def test_h2_modulus_one(files):

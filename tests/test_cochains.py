@@ -1,12 +1,15 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrex.cochains import (Cochain, delta, delta_squared, face_map,
-                              format_cochain, is_cocycle, parse_cochain,
-                              random_cochain, violating_triple)
-from centrex.groups import catalog, cyclic, klein_four, symmetric3
+from centrex.cochains import (Cochain, _face_grids, delta, delta_squared,
+                              face_map, format_cochain, is_cocycle,
+                              parse_cochain, random_cochain, violating_triple)
+from centrex.groups import (catalog, cyclic, klein_four, quaternion8,
+                            symmetric3)
 from centrex.rng import generator
 
 Z2 = cyclic(2)
@@ -41,16 +44,31 @@ def test_face_map_index_errors():
         face_map(Z2, 1, 0, (0, 5))
 
 
+@pytest.mark.parametrize("group", [S3, quaternion8()], ids=["S3", "Q8"])
+def test_face_grids_match_face_map(group):
+    # the grids that delta and delta_matrix share, in both the (m,)*(p+1)
+    # form of delta and the flat form of delta_matrix, tuple by tuple
+    m = group.order
+    for p in (1, 2):
+        grids = np.indices((m,) * (p + 1))
+        for i in range(p + 2):
+            cube = _face_grids(group.table, grids, i)
+            flat = _face_grids(group.table, grids.reshape(p + 1, -1), i)
+            for row, t in enumerate(product(range(m), repeat=p + 1)):
+                expected = face_map(group, p, i, t)
+                assert tuple(int(a[t]) for a in cube) == expected
+                assert tuple(int(a[row]) for a in flat) == expected
+
+
 def test_delta_degree_two_formula():
     rng = generator(11)
-    c = random_cochain(S3, 4, 2, rng)
-    dc = delta(c)
-    for g in range(6):
-        for h in range(6):
-            for k in range(6):
-                expected = (c.value(h, k) - c.value(S3.mul(g, h), k)
-                            + c.value(g, S3.mul(h, k)) - c.value(g, h)) % 4
-                assert dc.value(g, h, k) == expected
+    for group in (S3, quaternion8()):
+        c = random_cochain(group, 4, 2, rng)
+        dc = delta(c)
+        for g, h, k in product(range(group.order), repeat=3):
+            expected = (c.value(h, k) - c.value(group.mul(g, h), k)
+                        + c.value(g, group.mul(h, k)) - c.value(g, h)) % 4
+            assert dc.value(g, h, k) == expected
 
 
 def test_delta_degree_one_by_hand():

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import centrex
 from centrex.cochains import Cochain, delta, random_cochain
-from centrex.cohomology import (class_key, coboundary_space, cocycle_space,
+from centrex.cohomology import (coboundary_space, cocycle_space,
                                 cohomologous, delta_matrix,
                                 exhaustive_coboundaries, exhaustive_cocycles,
                                 exhaustive_second_cohomology, kernel_mod,
@@ -114,9 +120,7 @@ def test_second_cohomology_matches_oracle():
         oracle = exhaustive_second_cohomology(group, n)
         assert (h2.z2_size, h2.b2_size, h2.size) == \
             (oracle.z2_size, oracle.b2_size, oracle.h2_size)
-        coboundaries = exhaustive_coboundaries(group, n)
-        keys = sorted(class_key(rep.values.reshape(-1), coboundaries, n)
-                      for rep in h2.representatives)
+        keys = sorted(oracle.key(rep) for rep in h2.representatives)
         assert keys == oracle.class_keys
 
 
@@ -159,6 +163,31 @@ def test_cohomologous_trivial_witness():
     c = cocycle_space(Z3, 3).sample(rng)
     w = cohomologous(c, c)
     assert w is not None and (delta(w)).is_zero
+
+
+def test_cohomologous_rejects_bad_witness():
+    # the witness check must hold under python -O, where asserts vanish
+    script = textwrap.dedent("""
+        import sys
+        import centrex.cohomology as co
+        from centrex.cochains import Cochain, delta
+        from centrex.groups import symmetric3
+        s3 = symmetric3()
+        c1 = Cochain.zeros(s3, 2, 2)
+        c2 = delta(Cochain(s3, 2, 1, [0, 1, 0, 0, 0, 0]))
+        if c2.is_zero:
+            sys.exit(2)
+        co.delta = lambda d: Cochain.zeros(s3, 2, 2)
+        try:
+            co.cohomologous(c1, c2)
+        except AssertionError:
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(centrex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    assert done.returncode == 0
 
 
 def test_z4_cocycle_not_cohomologous_to_zero():
