@@ -25,7 +25,8 @@ import sys
 import time
 
 from .cochains import load_cochain, violating_triple
-from .cohomology import exhaustive_second_cohomology, second_cohomology
+from .cohomology import (check_capacity, exhaustive_second_cohomology,
+                         second_cohomology)
 from .errors import CapacityError, CocycleError
 from .extensions import build_extension
 from .groups import load_group, table_fingerprint
@@ -161,6 +162,7 @@ def _cmd_extend(args):
     if args.modulus is not None and args.modulus != cochain.modulus:
         raise ValueError("--modulus %d disagrees with cochain file modulus %d"
                          % (args.modulus, cochain.modulus))
+    check_capacity(group, cochain.modulus)
     params = {"group": args.group, "cochain": args.cochain,
               "modulus": cochain.modulus}
     inputs = {"group": file_digest(args.group),

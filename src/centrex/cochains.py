@@ -23,8 +23,8 @@ MAX_DELTA_OUTPUT = 2**22  # entries of the result cochain
 
 def _check_modulus(n):
     n = int(n)
-    if n < 1:
-        raise ValueError("coefficient modulus must be >= 1")
+    if not 1 <= n <= np.iinfo(np.int64).max:
+        raise ValueError("coefficient modulus must be in 1..2^63-1")
     return n
 
 
@@ -205,6 +205,9 @@ def parse_cochain(text, group):
     except ValueError:
         raise ValueError("cochain header must be two integers 'p n', got %r %r"
                          % (tokens[0], tokens[1]))
+    # a degree-p cochain is an array with p axes; NumPy allows at most 64
+    if not 0 <= p <= 64:
+        raise ValueError("cochain degree must be in 0..64, got %d" % p)
     expected = group.order ** p
     values = tokens[2:]
     if len(values) != expected:
@@ -212,8 +215,8 @@ def parse_cochain(text, group):
                          % (expected, len(values)))
     try:
         flat = np.array([int(t) for t in values], dtype=np.int64)
-    except ValueError:
-        raise ValueError("cochain values must be integers")
+    except (ValueError, OverflowError):
+        raise ValueError("cochain values must be 64-bit integers")
     return Cochain(group, n, p, flat)
 
 

@@ -1,10 +1,13 @@
 """Cocycles, coboundaries and second cohomology over Z/n by linear algebra.
 
 The condition delta(c) = 0 is Z/n-linear in the m^2 unknown values of a
-degree-2 cochain, so Z^2 is the kernel of an integer matrix mod n, B^2 is
-the image of the degree-1 differential, and H^2 = Z^2 / B^2 is a quotient
-of lattices computed through Smith normal form.  A brute-force enumeration
-oracle is provided independently for small cases.
+degree-2 cochain, so Z^2 is the kernel of the matrix of delta mod n, B^2
+is the image of the degree-1 differential, and H^2 = Z^2 / B^2 is the
+cokernel of the coboundaries written in coordinates of Z^2.  All three
+come from one Smith normal form over Z/n, a principal ideal ring, with
+every entry kept in [0, n) (Storjohann & Mulders, "Fast algorithms for
+linear algebra modulo N", ESA 1998).  A brute-force enumeration oracle is
+provided independently for small cases.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ MAX_GROUP_ORDER = 32
 MAX_MODULUS = 8
 ORACLE_LIMIT = 2**20
 MAX_CLASS_ENUMERATION = 4096
-
-_PROMOTE_LIMIT = 2**20  # promote SNF arrays to python ints past this
-
 
 def check_capacity(group, n):
     if group.order > MAX_GROUP_ORDER:
@@ -50,10 +50,10 @@ def delta_matrix(group, p):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form with transform tracking
+# Smith normal form over Z/n with transform tracking
 
 def _xgcd(a, b):
-    """(g, x, y) with x*a + y*b = g = gcd(a, b)."""
+    """(g, x, y) with x*a + y*b = g = gcd(a, b), for a > 0 and b >= 0."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -62,8 +62,6 @@ def _xgcd(a, b):
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
 
@@ -76,154 +74,124 @@ class SNFResult:
     Uinv: np.ndarray | None = None
 
 
-class _SNFState:
-    def __init__(self, A, track_u):
-        self.A = np.array(A, dtype=np.int64, copy=True)
-        r, k = self.A.shape
-        self.V = np.eye(k, dtype=np.int64)
-        self.Vinv = np.eye(k, dtype=np.int64)
-        self.track_u = track_u
-        self.U = np.eye(r, dtype=np.int64) if track_u else None
-        self.Uinv = np.eye(r, dtype=np.int64) if track_u else None
-        self.object_mode = False
+# Step t works on the trailing block S = A[t:, t:] with its pivot at
+# S[0, 0]: the rows and columns before t are already cleared, so no
+# operation of step t can change them.  A row operation acts on the rows
+# of each array in ``fwd`` (S, and U[t:] when tracked) and, inversely, on
+# the columns of each array in ``inv`` (Uinv[:, t:]).  A column operation
+# is the same row operation on the transposed views S.T and V[:, t:].T,
+# with Vinv[t:].T as its inverse side.
 
-    def _promote_if_needed(self):
-        if self.object_mode:
-            return
-        arrays = [self.A, self.V, self.Vinv]
-        if self.track_u:
-            arrays += [self.U, self.Uinv]
-        if any(np.abs(a).max(initial=0) > _PROMOTE_LIMIT for a in arrays):
-            self.A = self.A.astype(object)
-            self.V = self.V.astype(object)
-            self.Vinv = self.Vinv.astype(object)
-            if self.track_u:
-                self.U = self.U.astype(object)
-                self.Uinv = self.Uinv.astype(object)
-            self.object_mode = True
-
-    # elementary operations -------------------------------------------------
-
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        self.A[[i, j]] = self.A[[j, i]]
-        if self.track_u:
-            self.U[[i, j]] = self.U[[j, i]]
-            self.Uinv[:, [i, j]] = self.Uinv[:, [j, i]]
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        self.A[:, [i, j]] = self.A[:, [j, i]]
-        self.V[:, [i, j]] = self.V[:, [j, i]]
-        self.Vinv[[i, j]] = self.Vinv[[j, i]]
-
-    def negate_row(self, i):
-        self.A[i] = -self.A[i]
-        if self.track_u:
-            self.U[i] = -self.U[i]
-            self.Uinv[:, i] = -self.Uinv[:, i]
-
-    def add_rows(self, rows, quotients, t):
-        """rows[i] -= q[i] * row t, vectorized over many rows."""
-        q = quotients[:, None]
-        self.A[rows] -= q * self.A[t][None, :]
-        if self.track_u:
-            self.U[rows] -= q * self.U[t][None, :]
-            self.Uinv[:, t] += self.Uinv[:, rows] @ quotients
-
-    def add_cols(self, cols, quotients, t):
-        """cols[j] -= q[j] * col t."""
-        q = quotients[None, :]
-        self.A[:, cols] -= q * self.A[:, t][:, None]
-        self.V[:, cols] -= q * self.V[:, t][:, None]
-        self.Vinv[t] += quotients @ self.Vinv[cols]
-
-    def bezout_rows(self, t, i):
-        a, b = int(self.A[t, t]), int(self.A[i, t])
-        g, x, y = _xgcd(a, b)
-        p, q = a // g, b // g
-        rt, ri = self.A[t].copy(), self.A[i].copy()
-        self.A[t] = x * rt + y * ri
-        self.A[i] = -q * rt + p * ri
-        if self.track_u:
-            ut, ui = self.U[t].copy(), self.U[i].copy()
-            self.U[t] = x * ut + y * ui
-            self.U[i] = -q * ut + p * ui
-            ct, ci = self.Uinv[:, t].copy(), self.Uinv[:, i].copy()
-            self.Uinv[:, t] = p * ct + q * ci
-            self.Uinv[:, i] = -y * ct + x * ci
-
-    def bezout_cols(self, t, j):
-        a, b = int(self.A[t, t]), int(self.A[t, j])
-        g, x, y = _xgcd(a, b)
-        p, q = a // g, b // g
-        ct, cj = self.A[:, t].copy(), self.A[:, j].copy()
-        self.A[:, t] = x * ct + y * cj
-        self.A[:, j] = -q * ct + p * cj
-        vt, vj = self.V[:, t].copy(), self.V[:, j].copy()
-        self.V[:, t] = x * vt + y * vj
-        self.V[:, j] = -q * vt + p * vj
-        rt, rj = self.Vinv[t].copy(), self.Vinv[j].copy()
-        self.Vinv[t] = p * rt + q * rj
-        self.Vinv[j] = -y * rt + x * rj
+def _swap(fwd, inv, i):
+    """Exchange line i with the pivot line 0."""
+    if i == 0:
+        return
+    for M in fwd:
+        M[[0, i]] = M[[i, 0]]
+    for M in inv:
+        M[:, [0, i]] = M[:, [i, 0]]
 
 
-def smith_normal_form(A, track_u=False):
-    """Diagonalize an integer matrix by unimodular row and column operations.
+def _eliminate(fwd, inv, rows, quotients, n):
+    """rows[i] -= q[i] * row 0 (mod n), vectorized over many rows; only
+    the columns where row 0 is nonzero change."""
+    for M in fwd:
+        cols = np.flatnonzero(M[0])
+        block = np.ix_(rows, cols)
+        M[block] = (M[block] - quotients[:, None] * M[0, cols]) % n
+    for M in inv:
+        M[:, 0] = (M[:, 0] + M[:, rows] @ quotients) % n
 
-    Returns diag plus the column transform V (and its inverse) such that the
-    solution sets of A x = b are carried to the diagonal system; U/Uinv are
-    tracked on request.  The diagonal is not normalized to a divisibility
-    chain, which none of the callers need.
+
+def _mix(a, b, x, y, p, q, n):
+    """(a, b) <- (x a + y b, p b - q a) mod n, in place on two views."""
+    a_old = a.copy()
+    a[...] = (x * a_old + y * b) % n
+    b[...] = (p * b - q * a_old) % n
+
+
+def _bezout(fwd, inv, i, n):
+    """Replace the pivot by gcd(pivot, entry i below it) through the
+    determinant-one combination of rows 0 and i."""
+    a, b = int(fwd[0][0, 0]), int(fwd[0][i, 0])
+    g, x, y = _xgcd(a, b)
+    p, q = a // g, b // g
+    for M in fwd:
+        _mix(M[0], M[i], x, y, p, q, n)
+    for M in inv:
+        _mix(M[:, 0], M[:, i], p, q, x, y, n)
+
+
+def _clear(fwd, inv, n):
+    """One pass against the entries below the pivot of fwd[0]: exact
+    multiples are eliminated, the first other entry takes a Bezout step
+    that strictly lowers the pivot.  False when nothing was left."""
+    col = fwd[0][1:, 0]
+    nz = np.nonzero(col)[0]
+    if not len(nz):
+        return False
+    a = int(fwd[0][0, 0])
+    rem = col[nz] % a
+    exact = nz[rem == 0] + 1
+    if len(exact):
+        _eliminate(fwd, inv, exact, fwd[0][exact, 0] // a, n)
+    hard = nz[rem != 0]
+    if len(hard):
+        _bezout(fwd, inv, 1 + int(hard[0]), n)
+    return True
+
+
+def _pivot(S, n):
+    """Row-major first position of the smallest nonzero entry, or None.
+    Rows are scanned in blocks of about 2^16 entries, so a hit near the
+    top costs one block, not the whole of S."""
+    step = max(1, 2**16 // S.shape[1])
+    for v in range(1, n):
+        for top in range(0, S.shape[0], step):
+            hits = S[top:top + step] == v
+            i = int(np.argmax(hits))
+            if hits.flat[i]:
+                row, col = divmod(i, S.shape[1])
+                return top + row, col
+    return None
+
+
+def smith_normal_form(A, n, track_u=False):
+    """Diagonalize A over Z/n by row and column operations invertible mod n.
+
+    Every array is int64 with entries in [0, n).  Returns the nonzero
+    diagonal plus the column transform V and its inverse, so that
+    U A V = diag (mod n); U/Uinv are tracked on request.  The pivot is the
+    smallest nonzero residue left; entries it divides are eliminated
+    exactly, any other entry takes a Bezout step, which lowers the pivot,
+    so a pivot takes at most n - 1 of them.  The diagonal is not
+    normalized to a divisibility chain, which none of the callers need.
     """
-    st = _SNFState(np.asarray(A), track_u)
-    r, k = st.A.shape
+    A = np.mod(np.asarray(A, dtype=np.int64), n)
+    r, k = A.shape
+    V, Vinv = np.eye(k, dtype=np.int64), np.eye(k, dtype=np.int64)
+    U = np.eye(r, dtype=np.int64) if track_u else None
+    Uinv = np.eye(r, dtype=np.int64) if track_u else None
     diag = []
     for t in range(min(r, k)):
-        st._promote_if_needed()
-        sub = st.A[t:, t:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
+        S = A[t:, t:]
+        at = _pivot(S, n)
+        if at is None:
             break
-        vals = np.abs(sub[nz])
-        best = int(np.argmin(vals))
-        st.swap_rows(t, t + int(nz[0][best]))
-        st.swap_cols(t, t + int(nz[1][best]))
-        while True:
-            st._promote_if_needed()
-            col = st.A[t + 1:, t]
-            nz_rows = np.nonzero(col)[0]
-            if len(nz_rows):
-                a = int(st.A[t, t])
-                rem = col[nz_rows] % a
-                exact = nz_rows[rem == 0]
-                if len(exact):
-                    rows = exact + t + 1
-                    st.add_rows(rows, st.A[rows, t] // a, t)
-                hard = nz_rows[rem != 0]
-                if len(hard):
-                    st.bezout_rows(t, t + 1 + int(hard[0]))
-                continue
-            row = st.A[t, t + 1:]
-            nz_cols = np.nonzero(row)[0]
-            if len(nz_cols):
-                a = int(st.A[t, t])
-                rem = row[nz_cols] % a
-                exact = nz_cols[rem == 0]
-                if len(exact):
-                    cols = exact + t + 1
-                    st.add_cols(cols, st.A[t, cols] // a, t)
-                hard = nz_cols[rem != 0]
-                if len(hard):
-                    st.bezout_cols(t, t + 1 + int(hard[0]))
-                continue
-            break
-        if st.A[t, t] < 0:
-            st.negate_row(t)
-        diag.append(int(st.A[t, t]))
-    return SNFResult(diag=diag, V=st.V, Vinv=st.Vinv, U=st.U, Uinv=st.Uinv)
+        rows = ([S, U[t:]], [Uinv[:, t:]]) if track_u else ([S], [])
+        cols = ([S.T, V[:, t:].T], [Vinv[t:].T])
+        _swap(*rows, at[0])
+        _swap(*cols, at[1])
+        while _clear(*rows, n) or _clear(*cols, n):
+            pass
+        diag.append(int(S[0, 0]))
+    return SNFResult(diag=diag, V=V, Vinv=Vinv, U=U, Uinv=Uinv)
+
+
+def _cyclic_orders(res, size, n):
+    """Orders gcd(d_i, n) of the cyclic factors of a diagonal system with
+    ``size`` rows or columns; a missing diagonal entry counts as n."""
+    return [gcd(d, n) for d in res.diag] + [n] * (size - len(res.diag))
 
 
 def kernel_mod(A, n):
@@ -232,40 +200,27 @@ def kernel_mod(A, n):
     The generators are independent: the kernel is the direct sum of the
     cyclic groups they generate.
     """
-    res = smith_normal_form(A)
-    k = A.shape[1]
+    res = smith_normal_form(A, n)
     gens, orders = [], []
-    size = 1
-    for i in range(k):
-        d = res.diag[i] if i < len(res.diag) else 0
-        g = gcd(d, n)
-        size *= g
+    for i, g in enumerate(_cyclic_orders(res, A.shape[1], n)):
         if g > 1:
-            gens.append(np.mod(res.V[:, i] * (n // g), n).astype(np.int64))
+            gens.append(res.V[:, i] * (n // g) % n)
             orders.append(g)
-    return size, gens, orders, res
+    return prod(orders), gens, orders, res
 
 
 def solve_mod(A, b, n):
     """One solution x of A x = b (mod n), or None."""
-    res = smith_normal_form(A, track_u=True)
-    r, k = A.shape
-    c = res.U @ np.asarray(b, dtype=res.U.dtype)
-    z = np.zeros(k, dtype=np.int64)
-    for i in range(r):
-        ci = int(c[i]) % n
-        d = res.diag[i] if i < len(res.diag) else 0
-        if i >= k or d == 0:
-            if ci != 0:
-                return None
-            continue
-        g = gcd(d, n)
-        if ci % g:
+    res = smith_normal_form(A, n, track_u=True)
+    c = res.U @ np.mod(np.asarray(b, dtype=np.int64), n) % n
+    z = np.zeros(A.shape[1], dtype=np.int64)
+    for i, g in enumerate(_cyclic_orders(res, A.shape[0], n)):
+        if c[i] % g:
             return None
-        nn = n // g
-        z[i] = (ci // g) * pow(d // g, -1, nn) % nn if nn > 1 else 0
-    x = res.V @ z.astype(res.V.dtype)
-    return np.mod(x, n).astype(np.int64)
+        if i < len(res.diag):
+            d, nn = res.diag[i], n // g
+            z[i] = (int(c[i]) // g) * pow(d // g, -1, nn) % nn
+    return res.V @ z % n
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +297,19 @@ def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
     zspace = _cocycle_space(group, n)
     A1 = delta_matrix(group, 1)
     bspace = _coboundary_space(group, n, A1)
-    m = group.order
-    k = m * m
+    k = group.order ** 2
     res2 = zspace.snf
-    diag2 = res2.diag + [0] * (k - len(res2.diag))
-    scale = np.array([n // gcd(d, n) for d in diag2], dtype=object)
-    # lattice of cocycle lifts: columns of V2 * scale span {x : delta x = 0 mod n}
-    BZ = res2.V.astype(object) * scale[None, :]
-    MB = np.concatenate([A1.astype(object), n * np.eye(k, dtype=object)],
-                        axis=1)
-    W = res2.Vinv.astype(object) @ MB
-    if np.any(np.vectorize(lambda w, s: w % s)(W, scale[:, None]) != 0):
+    # in the coordinates Vinv2 x, Z^2 is the sum of the cyclic groups
+    # scale_i Z/n, of orders n / scale_i
+    orders = np.array(_cyclic_orders(res2, k, n), dtype=np.int64)
+    scale = n // orders
+    W = res2.Vinv @ A1 % n
+    if np.any(W % scale[:, None]):
         raise AssertionError("coboundary lattice escapes the cocycle lattice")
-    C = np.vectorize(lambda w, s: w // s, otypes=[object])(W, scale[:, None])
-    res3 = smith_normal_form(C, track_u=True)
-    factors = [int(d) for d in res3.diag]
-    if len(factors) != k or any(f == 0 for f in factors):
-        raise AssertionError("quotient lattice is not full rank")
+    res3 = smith_normal_form(
+        np.concatenate([W // scale[:, None], np.diag(orders)], axis=1), n,
+        track_u=True)
+    factors = _cyclic_orders(res3, k, n)
     size = prod(factors)
     if size != zspace.size // bspace.size or zspace.size % bspace.size:
         raise AssertionError("|Z^2| != |B^2| * |H^2|")
@@ -366,13 +317,12 @@ def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
         raise CapacityError("H^2 has %d classes; enumeration capped at %d"
                             % (size, max_classes))
     live = [j for j, f in enumerate(factors) if f > 1]
-    reps = []
-    for combo in product(*(range(factors[j]) for j in live)):
-        w = np.zeros(k, dtype=object)
-        for j, t in zip(live, combo):
-            w = w + t * res3.Uinv[:, j]
-        flat = np.array([int(v) % n for v in (BZ @ w)], dtype=np.int64)
-        reps.append(Cochain(group, n, 2, flat))
+    combos = np.array(list(product(*(range(factors[j]) for j in live))),
+                      dtype=np.int64).reshape(size, len(live))
+    # the columns of V2 * scale generate Z^2 in cochain coordinates
+    lifts = res2.V * scale[None, :] % n
+    flats = (combos @ res3.Uinv[:, live].T % n) @ lifts.T % n
+    reps = [Cochain(group, n, 2, flat) for flat in flats]
     invariants = sorted(f for f in factors if f > 1)
     return SecondCohomology(group, n, size, zspace.size, bspace.size,
                             invariants, reps)

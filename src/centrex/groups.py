@@ -256,9 +256,9 @@ def parse_group_table(text, name=""):
         for c, tok in enumerate(parts):
             try:
                 table[r - 2, c] = int(tok)
-            except ValueError:
-                raise ValueError("line %d, column %d: %r is not an integer"
-                                 % (r, c + 1, tok))
+            except (ValueError, OverflowError):
+                raise ValueError("line %d, column %d: %r is not an element "
+                                 "index" % (r, c + 1, tok))
     return FiniteGroup(table, name)
 
 

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrex import cohomology
 from centrex.cli import main
-from centrex.cochains import Cochain, format_cochain
-from centrex.groups import cyclic, dihedral, format_group_table, klein_four
+from centrex.cochains import Cochain, format_cochain, parse_cochain
+from centrex.groups import (cyclic, dihedral, format_group_table, klein_four,
+                            parse_group_table)
 
 
 @pytest.fixture
@@ -62,10 +65,10 @@ def test_h2_builds_each_space_once(files, monkeypatch):
     inputs = []
     real = cohomology.smith_normal_form
 
-    def counting(A, track_u=False):
+    def counting(A, n, track_u=False):
         a = np.asarray(A)
         inputs.append((a.shape, tuple(a.ravel().tolist())))
-        return real(A, track_u=track_u)
+        return real(A, n, track_u=track_u)
 
     monkeypatch.setattr(cohomology, "smith_normal_form", counting)
     for name, n in (("v4", "2"), ("z3", "3"), ("z3", "1")):
@@ -212,3 +215,62 @@ def test_malformed_group_file(tmp_path):
     p = tmp_path / "junk.grp"
     p.write_text("2\n0 1\n1 x\n")
     assert main(["h2", "--group", str(p), "--modulus", "2"]) == 2
+
+
+def test_integers_outside_int64_exit_2(files, tmp_path):
+    huge = "99999999999999999999"
+    table = tmp_path / "huge.grp"
+    table.write_text("2\n0 1\n1 %s\n" % huge)
+    assert main(["h2", "--group", str(table), "--modulus", "2"]) == 2
+    header = tmp_path / "huge_modulus.coc"
+    header.write_text("2 %s\n0 0 0 1\n" % huge)
+    assert main(["extend", "--group", files["z2"],
+                 "--cochain", str(header)]) == 2
+    value = tmp_path / "huge_value.coc"
+    value.write_text("2 2\n0 0 0 %s\n" % huge)
+    assert main(["extend", "--group", files["z2"],
+                 "--cochain", str(value)]) == 2
+
+
+def test_extend_capacity_guard(files, tmp_path):
+    # without the guard this builds a 200000 x 200000 table
+    wide = tmp_path / "wide.coc"
+    wide.write_text("2 100000\n0 0 0 1\n")
+    assert main(["extend", "--group", files["z2"], "--cochain", str(wide)]) == 3
+
+
+_TOKENS = st.one_of(st.integers(-3, 6), st.integers(-2**70, 2**70),
+                    st.sampled_from(["x", "1.5", "-", "0x1", "\u0661"]))
+
+
+def _square_table(m):
+    rows = st.lists(_TOKENS, min_size=m, max_size=m)
+    return st.lists(rows, min_size=m, max_size=m).map(lambda t: [[m]] + t)
+
+
+def _sized_cochain(p):
+    # header "p n" followed by the 2^p values a Z2 cochain needs
+    return st.tuples(_TOKENS, st.lists(_TOKENS, min_size=2**p,
+                                       max_size=2**p)).map(
+        lambda nv: [p, nv[0]] + nv[1])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(st.lists(st.lists(_TOKENS, min_size=1, max_size=4),
+                          max_size=5),
+                 st.integers(1, 3).flatmap(_square_table)))
+def test_parse_group_table_raises_only_value_error(lines):
+    try:
+        parse_group_table("\n".join(" ".join(map(str, ln)) for ln in lines))
+    except ValueError:
+        pass
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(st.lists(_TOKENS, max_size=8),
+                 st.integers(0, 2).flatmap(_sized_cochain)))
+def test_parse_cochain_raises_only_value_error(tokens):
+    try:
+        parse_cochain(" ".join(map(str, tokens)), cyclic(2))
+    except ValueError:
+        pass

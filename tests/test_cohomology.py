@@ -15,7 +15,8 @@ from centrex.cohomology import (coboundary_space, cocycle_space,
                                 second_cohomology, smith_normal_form,
                                 solve_mod)
 from centrex.errors import CapacityError
-from centrex.groups import cyclic, dihedral, klein_four, symmetric3
+from centrex.groups import (cyclic, dihedral, klein_four, quaternion8,
+                            symmetric3)
 from centrex.rng import generator
 
 Z2 = cyclic(2)
@@ -34,27 +35,25 @@ def test_delta_matrix_matches_delta_operator():
 
 
 def test_smith_normal_form_transforms():
+    # n = 6 has entries that do not divide each other: the Bezout path
     rng = generator(9)
-    for _ in range(20):
-        A = rng.integers(-4, 5, size=(rng.integers(2, 7), rng.integers(2, 7)))
-        res = smith_normal_form(A, track_u=True)
-        D = res.U @ A @ res.V
-        expect = np.zeros_like(D)
-        for i, d in enumerate(res.diag):
-            expect[i, i] = d
-        assert np.array_equal(D, expect)
-        assert np.array_equal(res.V @ res.Vinv, np.eye(A.shape[1], dtype=int))
-        assert np.array_equal(res.U @ res.Uinv, np.eye(A.shape[0], dtype=int))
-
-
-def test_smith_normal_form_large_entries():
-    # entries past the int64 comfort zone promote to exact python ints
-    A = np.array([[2**21, 3], [5, 2**21 + 1]], dtype=np.int64)
-    res = smith_normal_form(A, track_u=True)
-    D = res.U.astype(object) @ A.astype(object) @ res.V.astype(object)
-    assert D[0, 1] == D[1, 0] == 0
-    det = 2**21 * (2**21 + 1) - 15
-    assert abs(int(D[0, 0]) * int(D[1, 1])) == abs(det)
+    for n in (2, 3, 4, 6, 8):
+        for _ in range(20):
+            A = rng.integers(-4, 5, size=(rng.integers(2, 7),
+                                          rng.integers(2, 7)))
+            res = smith_normal_form(A, n, track_u=True)
+            for M in (res.U, res.Uinv, res.V, res.Vinv):
+                assert M.dtype == np.int64 and M.min() >= 0 and M.max() < n
+            assert all(0 < d < n for d in res.diag)
+            D = np.mod(res.U @ A @ res.V, n)
+            expect = np.zeros_like(D)
+            for i, d in enumerate(res.diag):
+                expect[i, i] = d
+            assert np.array_equal(D, expect)
+            assert np.array_equal(np.mod(res.V @ res.Vinv, n),
+                                  np.eye(A.shape[1], dtype=int))
+            assert np.array_equal(np.mod(res.U @ res.Uinv, n),
+                                  np.eye(A.shape[0], dtype=int))
 
 
 def test_kernel_mod_counts_by_enumeration():
@@ -144,6 +143,36 @@ def test_representatives_pairwise_non_cohomologous():
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert cohomologous(reps[i], reps[j]) is None
+
+
+@pytest.mark.parametrize("group, n, factors", [
+    (dihedral(4), 4, [2, 2, 2]),
+    (quaternion8(), 4, [2, 2]),
+    (S3, 6, [2]),
+    (dihedral(6), 2, [2, 2, 2]),
+], ids=["D4-n4", "Q8-n4", "S3-n6", "D6-n2"])
+def test_representatives_beyond_oracle(group, n, factors):
+    # n^(m^2) > 2^20, so the oracle cannot run; the expected factors are
+    # H^2 = Hom(H_2 G, Z/n) + Ext(H_1 G, Z/n) by the universal coefficient
+    # theorem, with H_1 = (Z2)^2, H_2 = Z2 for D4 and D6, H_1 = (Z2)^2,
+    # H_2 = 0 for Q8, and H_1 = Z2, H_2 = 0 for S3
+    with pytest.raises(CapacityError):
+        exhaustive_second_cohomology(group, n)
+    h2 = second_cohomology(group, n)
+    assert h2.invariant_factors == factors
+    reps = h2.representatives
+    assert len(reps) == h2.size == 2 ** len(factors)
+    for rep in reps:
+        assert delta(rep).is_zero
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            assert cohomologous(reps[i], reps[j]) is None
+    # the same check finds a witness once a class member is moved by a
+    # coboundary
+    moved = reps[-1] + delta(random_cochain(group, n, 1, generator(47)))
+    witness = cohomologous(reps[-1], moved)
+    assert witness is not None
+    assert (delta(witness) - (reps[-1] - moved)).is_zero
 
 
 def test_cohomologous_roundtrip():
