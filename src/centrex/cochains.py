@@ -21,6 +21,18 @@ from .errors import CapacityError
 MAX_DELTA_OUTPUT = 2**22  # entries of the result cochain
 
 
+# a degree-p cochain is an array with p axes; NumPy allows at most 64
+MAX_DEGREE = 64
+
+
+def _check_degree(p):
+    p = int(p)
+    if not 0 <= p <= MAX_DEGREE:
+        raise ValueError("cochain degree must be in 0..%d, got %d"
+                         % (MAX_DEGREE, p))
+    return p
+
+
 def _check_modulus(n):
     n = int(n)
     if not 1 <= n <= np.iinfo(np.int64).max:
@@ -34,29 +46,24 @@ class Cochain:
     def __init__(self, group, modulus, degree, values):
         self.group = group
         self.modulus = _check_modulus(modulus)
-        degree = int(degree)
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        self.degree = degree
+        self.degree = degree = _check_degree(degree)
         shape = (group.order,) * degree
         values = np.asarray(values, dtype=np.int64)
         if values.shape != shape:
-            if values.size == np.prod(shape, dtype=np.int64):
-                values = values.reshape(shape)
-            else:
+            expected = group.order ** degree
+            if values.size != expected:
                 raise ValueError(
                     "expected %d values for a degree-%d cochain on a group "
                     "of order %d, got %d"
-                    % (np.prod(shape, dtype=np.int64), degree, group.order,
-                       values.size)
-                )
+                    % (expected, degree, group.order, values.size))
+            values = values.reshape(shape)
         values = np.mod(values, self.modulus)
         values.setflags(write=False)
         self.values = values
 
     @classmethod
     def zeros(cls, group, modulus, degree):
-        shape = (group.order,) * degree
+        shape = (group.order,) * _check_degree(degree)
         return cls(group, modulus, degree, np.zeros(shape, dtype=np.int64))
 
     def value(self, *elements):
@@ -205,9 +212,7 @@ def parse_cochain(text, group):
     except ValueError:
         raise ValueError("cochain header must be two integers 'p n', got %r %r"
                          % (tokens[0], tokens[1]))
-    # a degree-p cochain is an array with p axes; NumPy allows at most 64
-    if not 0 <= p <= 64:
-        raise ValueError("cochain degree must be in 0..64, got %d" % p)
+    p = _check_degree(p)
     expected = group.order ** p
     values = tokens[2:]
     if len(values) != expected:

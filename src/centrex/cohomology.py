@@ -65,6 +65,11 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
+class _Reduced(np.ndarray):
+    """An int64 array already reduced into [0, n) that its caller hands
+    over: smith_normal_form diagonalizes it in place instead of copying."""
+
+
 @dataclass
 class SNFResult:
     diag: list
@@ -167,7 +172,10 @@ def smith_normal_form(A, n, track_u=False):
     so a pivot takes at most n - 1 of them.  The diagonal is not
     normalized to a divisibility chain, which none of the callers need.
     """
-    A = np.mod(np.asarray(A, dtype=np.int64), n)
+    if isinstance(A, _Reduced):
+        A = A.view(np.ndarray)
+    else:
+        A = np.mod(np.asarray(A, dtype=np.int64), n)
     r, k = A.shape
     V, Vinv = np.eye(k, dtype=np.int64), np.eye(k, dtype=np.int64)
     U = np.eye(r, dtype=np.int64) if track_u else None
@@ -277,7 +285,11 @@ def coboundary_space(group, n):
 
 
 def _cocycle_space(group, n):
-    size, gens, orders, res = kernel_mod(delta_matrix(group, 2), n)
+    # delta^2 is the largest array of an h2 run (256 MiB at order 32): it is
+    # reduced in place and handed to the SNF, so only one copy is ever held
+    A = delta_matrix(group, 2)
+    np.mod(A, n, out=A)
+    size, gens, orders, res = kernel_mod(A.view(_Reduced), n)
     generators = [Cochain(group, n, 2, g) for g in gens]
     return CocycleSpace(group, n, size, generators, orders, res)
 

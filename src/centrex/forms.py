@@ -12,16 +12,20 @@ interfaces simply not taking the absent arguments.  The simplicial
 coboundary on forms is the alternating sum of pullbacks along the face
 maps of the group's nerve, and the exterior derivative is evaluated by
 second-order central differences through exponential charts.
+
+Every evaluation accepts loops and tangents stacked along leading axes
+(see loops.py) and then returns one value per stack entry, as an array;
+unstacked arguments give a float.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .loops import (DiscreteLoop, LoopTangent, circle_integral,
+from .loops import (DiscreteLoop, LoopTangent, _as_result, circle_integral,
                     conjugate_tangent, right_log_derivative,
                     spectral_derivative)
-from .su import exp_stack, killing_form_samples, project_algebra
+from .su import _dagger, exp_stack, killing_form_samples, project_algebra
 
 FOUR_PI_SQUARED = 4.0 * np.pi**2
 STEP_MIN, STEP_MAX = 1e-4, 1e-2
@@ -97,15 +101,26 @@ def _check_step(h):
         raise ValueError("step %.3e outside [%g, %g]" % (h, STEP_MIN, STEP_MAX))
 
 
-def _chart_tangent(base, field_zero, field_plus, field_minus, h):
-    """Central-difference tangent of t -> base * exp(field(t)), left-trivialized
-    at t = 0 and projected back onto su(n)."""
-    u0 = base.samples @ exp_stack(field_zero)
-    up = base.samples @ exp_stack(field_plus)
-    um = base.samples @ exp_stack(field_minus)
-    u0_inv = np.conjugate(np.swapaxes(u0, 1, 2))
-    return (DiscreteLoop(u0),
-            LoopTangent(project_algebra(u0_inv @ (up - um) / (2.0 * h))))
+def _chart_tangents(base, field, directions, h):
+    """Central-difference tangents of t -> base exp(field + t D), one per
+    direction D, left-trivialized at t = 0 and projected back onto su(n).
+
+    ``base`` is a sample array that may carry more leading axes than the
+    fields (several base loops sharing one chart).  All exponentials come
+    from one exp_stack call, exp(field) once for every direction; the base
+    point base exp(field) is validated as a loop.
+    """
+    charts = np.empty((1 + 2 * len(directions),) + field.shape,
+                      dtype=np.complex128)
+    charts[0] = field
+    for k, d in enumerate(directions):
+        charts[2 * k + 1] = field + h * d
+        charts[2 * k + 2] = field - h * d
+    exps = exp_stack(charts)
+    u0_inv = _dagger(DiscreteLoop(base @ exps[0]).samples)
+    return [LoopTangent(project_algebra(
+        u0_inv @ (base @ exps[2 * k + 1] - base @ exps[2 * k + 2]) / (2.0 * h)))
+        for k in range(len(directions))]
 
 
 def d_alpha_numeric(point, xi, eta, h=1e-3, alpha_sign=1.0):
@@ -120,25 +135,18 @@ def d_alpha_numeric(point, xi, eta, h=1e-3, alpha_sign=1.0):
     g1, g2 = point
     (x1, x2), (y1, y2) = xi, eta
 
-    def alpha_dt(s):
-        # tangent of the t-coordinate line at (s, 0)
-        _, tan = _chart_tangent(
-            g1, s * x1.samples,
-            s * x1.samples + h * y1.samples,
-            s * x1.samples - h * y1.samples, h)
-        base2 = DiscreteLoop(g2.samples @ exp_stack(s * x2.samples))
+    def alpha_along(move1, move2, direction, s):
+        # alpha of the coordinate line along `direction`, taken at the
+        # point moved by s along (move1, move2)
+        (tan,) = _chart_tangents(g1.samples, s * move1.samples,
+                                 (direction.samples,), h)
+        base2 = DiscreteLoop(g2.samples @ exp_stack(s * move2.samples))
         return alpha_sign * eval_alpha(base2, tan)
 
-    def alpha_ds(t):
-        _, tan = _chart_tangent(
-            g1, t * y1.samples,
-            t * y1.samples + h * x1.samples,
-            t * y1.samples - h * x1.samples, h)
-        base2 = DiscreteLoop(g2.samples @ exp_stack(t * y2.samples))
-        return alpha_sign * eval_alpha(base2, tan)
-
-    term_s = (alpha_dt(h) - alpha_dt(-h)) / (2.0 * h)
-    term_t = (alpha_ds(h) - alpha_ds(-h)) / (2.0 * h)
+    term_s = (alpha_along(x1, x2, y1, h)
+              - alpha_along(x1, x2, y1, -h)) / (2.0 * h)
+    term_t = (alpha_along(y1, y2, x1, h)
+              - alpha_along(y1, y2, x1, -h)) / (2.0 * h)
     return term_s - term_t
 
 
@@ -154,14 +162,9 @@ def d_R_numeric(loop, x, y, z, h=1e-3):
     fields = (x.samples, y.samples, z.samples)
 
     def pair_value(axis, s, i, j):
-        base_field = s * fields[axis]
-        tangents = []
-        for w in (i, j):
-            _, tan = _chart_tangent(loop, base_field,
-                                    base_field + h * fields[w],
-                                    base_field - h * fields[w], h)
-            tangents.append(tan)
-        return eval_R(tangents[0], tangents[1])
+        ti, tj = _chart_tangents(loop.samples, s * fields[axis],
+                                 (fields[i], fields[j]), h)
+        return eval_R(ti, tj)
 
     total = 0.0
     for axis, sign, (i, j) in ((0, 1.0, (1, 2)),
@@ -189,9 +192,8 @@ def left_invariance_fd_residual(k, g1, g2, x1, h=1e-3):
     the alpha pairings.  Algebraically identical; only float noise from
     the extra multiplication survives."""
     _check_step(h)
-    zero = np.zeros_like(x1.samples)
-    _, tan_here = _chart_tangent(g1, zero, h * x1.samples,
-                                 -h * x1.samples, h)
-    _, tan_there = _chart_tangent(k.multiply(g1), zero, h * x1.samples,
-                                  -h * x1.samples, h)
-    return abs(eval_alpha(g2, tan_here) - eval_alpha(g2, tan_there))
+    bases = np.stack((g1.samples, k.multiply(g1).samples))
+    (tan,) = _chart_tangents(bases, np.zeros_like(x1.samples),
+                             (x1.samples,), h)
+    here, there = eval_alpha(g2, tan)
+    return _as_result(abs(here - there))

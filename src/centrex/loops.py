@@ -6,6 +6,10 @@ band-limited data, exponentially accurate for the analytic loops produced
 by the band-limited synthesis below).  A tangent vector at the loop g is
 the curve t -> g exp(tX) for an su(n)-valued sample field X; only X is
 stored.
+
+Samples have shape (..., N, n, n): any leading axes stack independent
+loops (or tangents), and every operation here acts on each entry of the
+stack separately, so a stack of B loops costs one call, not B.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import generator
-from .su import (algebra_residual, exp_stack, project_algebra,
+from .su import (_dagger, algebra_residual, exp_stack, project_algebra,
                  random_algebra, unitary_residual, UNITARY_TOL, ALGEBRA_TOL)
 
 MIN_SAMPLES = 16
@@ -27,21 +31,39 @@ def _check_grid(num):
                          % MIN_SAMPLES)
 
 
+def _as_result(values):
+    """A 0-d result as a float; a stacked result stays an array."""
+    values = np.asarray(values)
+    return float(values) if values.ndim == 0 else values
+
+
+def _check_synthesis(num_samples, modes):
+    _check_grid(num_samples)
+    if not 0 <= modes <= num_samples // 8:
+        raise ValueError("modes must be in 0..N/8 for spectral headroom")
+
+
 def theta_grid(num_samples):
     return 2.0 * np.pi * np.arange(num_samples) / num_samples
 
 
+def _ingest(samples, what):
+    samples = np.ascontiguousarray(samples, dtype=np.complex128)
+    if samples.ndim < 3 or samples.shape[-1] != samples.shape[-2]:
+        raise ValueError("%s samples must have shape (..., N, n, n)" % what)
+    _check_grid(samples.shape[-3])
+    return samples
+
+
 @dataclass(frozen=True)
 class DiscreteLoop:
-    """N samples of a smooth map from the circle into SU(n)."""
+    """N samples of a smooth map from the circle into SU(n), or a stack of
+    such loops along leading axes."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
-            raise ValueError("loop samples must have shape (N, n, n)")
-        _check_grid(samples.shape[0])
+        samples = _ingest(self.samples, "loop")
         frob, det = unitary_residual(samples)
         if frob > UNITARY_TOL or det > UNITARY_TOL:
             raise ValueError("loop samples leave SU(n): unitarity %.3e, "
@@ -51,30 +73,32 @@ class DiscreteLoop:
 
     @property
     def num_samples(self):
-        return self.samples.shape[0]
+        return self.samples.shape[-3]
 
     @property
     def dim(self):
-        return self.samples.shape[1]
+        return self.samples.shape[-1]
 
     def multiply(self, other):
         return DiscreteLoop(self.samples @ other.samples)
 
     def inverse(self):
-        return DiscreteLoop(np.conjugate(np.swapaxes(self.samples, 1, 2)))
+        return DiscreteLoop(_dagger(self.samples))
 
 
 @dataclass(frozen=True)
 class LoopTangent:
-    """Left-trivialized tangent field: su(n)-valued samples on the grid."""
+    """Left-trivialized tangent field: su(n)-valued samples on the grid,
+    or a stack of such fields along leading axes."""
 
     samples: np.ndarray
 
+    # keeps ndarray * LoopTangent from broadcasting over the tangent as an
+    # object, so that the product reaches __rmul__
+    __array_ufunc__ = None
+
     def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
-            raise ValueError("tangent samples must have shape (N, n, n)")
-        _check_grid(samples.shape[0])
+        samples = _ingest(self.samples, "tangent")
         frob, tr = algebra_residual(samples)
         if frob > ALGEBRA_TOL or tr > ALGEBRA_TOL:
             raise ValueError("tangent samples leave su(n): skew %.3e, "
@@ -84,11 +108,11 @@ class LoopTangent:
 
     @property
     def num_samples(self):
-        return self.samples.shape[0]
+        return self.samples.shape[-3]
 
     @property
     def dim(self):
-        return self.samples.shape[1]
+        return self.samples.shape[-1]
 
     def __add__(self, other):
         return LoopTangent(self.samples + other.samples)
@@ -100,9 +124,12 @@ class LoopTangent:
         return LoopTangent(-self.samples)
 
     def __rmul__(self, scalar):
-        if isinstance(scalar, complex) and scalar.imag:
+        """Real scalar times the field; an array of scalars scales each
+        entry of the stack by its own value."""
+        if np.iscomplexobj(scalar):
             raise TypeError("su(n) is a real vector space: scalars must be real")
-        return LoopTangent(float(scalar) * self.samples)
+        scale = np.asarray(scalar, dtype=np.float64)
+        return LoopTangent(scale[..., None, None, None] * self.samples)
 
     __mul__ = __rmul__
 
@@ -121,8 +148,7 @@ def conjugate_tangent(conjugator, tangent):
     """Samplewise g X g^{-1}; with conjugator = g2.inverse() this is the
     adjoint action Ad(g2^{-1}) appearing in the merge pushforward."""
     g = conjugator.samples
-    gi = np.conjugate(np.swapaxes(g, 1, 2))
-    return LoopTangent(project_algebra(g @ tangent.samples @ gi))
+    return LoopTangent(project_algebra(g @ tangent.samples @ _dagger(g)))
 
 
 def displace(loop, tangent, amount):
@@ -134,22 +160,23 @@ def displace(loop, tangent, amount):
 # spectral calculus on the uniform grid
 
 def spectral_derivative(values):
-    """d/dtheta of a periodic sample array along axis 0.
+    """d/dtheta of a periodic (..., N, n, n) sample array along its
+    sample axis.
 
     Multiplies mode k by ik over the centered alias range and zeroes the
     Nyquist mode.
     """
     values = np.asarray(values)
-    num = values.shape[0]
+    num = values.shape[-3]
     k = np.fft.fftfreq(num, d=1.0 / num)
     k[num // 2] = 0.0  # Nyquist
-    spec = np.fft.fft(values, axis=0)
-    shape = (num,) + (1,) * (values.ndim - 1)
-    return np.fft.ifft(spec * (1j * k).reshape(shape), axis=0)
+    spec = np.fft.fft(values, axis=-3)
+    spec *= (1j * k)[:, None, None]
+    return np.fft.ifft(spec, axis=-3, out=spec)
 
 
 def theta_derivative(loop):
-    """d/dtheta of a loop (or of any (N, n, n) sample array)."""
+    """d/dtheta of a loop (or of any (..., N, n, n) sample array)."""
     samples = loop.samples if isinstance(loop, (DiscreteLoop, LoopTangent)) \
         else np.asarray(loop, dtype=np.complex128)
     return spectral_derivative(samples)
@@ -157,16 +184,18 @@ def theta_derivative(loop):
 
 def right_log_derivative(loop):
     """(d_theta g) g^{-1}: the su(n)-valued angular variation of the loop."""
-    deriv = spectral_derivative(loop.samples)
-    return deriv @ np.conjugate(np.swapaxes(loop.samples, 1, 2))
+    return spectral_derivative(loop.samples) @ _dagger(loop.samples)
 
 
 def circle_integral(values):
-    """Trapezoidal rule on the periodic grid: (2 pi / N) * sum."""
+    """Trapezoidal rule on the periodic grid: (2 pi / N) * sum over the
+    last axis.  A 1-D array gives a float; a (..., N) stack gives one
+    value per leading index."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError("circle_integral expects a 1-D real sample array")
-    return float(2.0 * np.pi * values.sum() / values.shape[0])
+    if values.ndim < 1:
+        raise ValueError("circle_integral expects real samples along the "
+                         "last axis")
+    return _as_result(2.0 * np.pi * values.sum(axis=-1) / values.shape[-1])
 
 
 _FD8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5,
@@ -193,41 +222,53 @@ LOOP_AMPLITUDE = 0.4
 TANGENT_AMPLITUDE = 0.5
 
 
+def _smooth_field(seed, dim, num_samples, modes, stream, constant, decay):
+    """Band-limited su(n) field sum_k cos(k theta) A_k + sin(k theta) B_k,
+    with scale decay(k) per mode (and a constant mode first if asked).
+
+    A sequence of streams gives one field per stream, stacked along a
+    leading axis; each entry's coefficients are drawn from its own stream
+    and summed in mode order, exactly as for a single stream.
+    """
+    _check_synthesis(num_samples, modes)
+    streams = np.asarray(stream)
+    leading = [constant] if constant else []
+    scales = leading + [decay(k) for k in range(1, modes + 1) for _ in (0, 1)]
+    coeffs = np.array([random_algebra(generator(seed, int(s)), dim, scales)
+                       for s in streams.reshape(-1)],
+                      dtype=np.complex128).reshape(
+                          (streams.size, len(scales), dim, dim))
+    theta = theta_grid(num_samples)
+    field = np.zeros((streams.size, num_samples, dim, dim),
+                     dtype=np.complex128)
+    if leading:
+        field += coeffs[:, 0, None]
+    for k in range(1, modes + 1):
+        j = len(leading) + 2 * k - 2          # A_k, then B_k
+        field += np.cos(k * theta)[:, None, None] * coeffs[:, j, None]
+        field += np.sin(k * theta)[:, None, None] * coeffs[:, j + 1, None]
+    return field.reshape(streams.shape + (num_samples, dim, dim))
+
+
 def random_smooth_loop(seed, dim, num_samples, modes, stream=0):
     """exp of a random band-limited su(n) field with 1/k^2 mode decay.
 
     The Fourier data depends only on (seed, stream, dim, modes), so the
-    same seed sampled at 2N refines the same smooth loop.
+    same seed sampled at 2N refines the same smooth loop.  A sequence of
+    streams gives a stack of loops, one per stream.
     """
-    _check_grid(num_samples)
-    if modes > num_samples // 8:
-        raise ValueError("modes must be <= N/8 for spectral headroom")
-    rng = generator(seed, stream)
-    theta = theta_grid(num_samples)
-    field = np.zeros((num_samples, dim, dim), dtype=np.complex128)
-    for k in range(1, modes + 1):
-        a_k = random_algebra(rng, dim, LOOP_AMPLITUDE / k**2)
-        b_k = random_algebra(rng, dim, LOOP_AMPLITUDE / k**2)
-        field += np.cos(k * theta)[:, None, None] * a_k
-        field += np.sin(k * theta)[:, None, None] * b_k
+    field = _smooth_field(seed, dim, num_samples, modes, stream, 0.0,
+                          lambda k: LOOP_AMPLITUDE / k**2)
     return DiscreteLoop(exp_stack(field))
 
 
 def random_smooth_tangent(seed, dim, num_samples, modes, stream=0):
     """Random band-limited su(n)-valued tangent field (includes a constant
-    mode), with the same resolution-independence contract as the loops."""
-    _check_grid(num_samples)
-    if modes > num_samples // 8:
-        raise ValueError("modes must be <= N/8 for spectral headroom")
-    rng = generator(seed, stream)
-    theta = theta_grid(num_samples)
-    field = np.zeros((num_samples, dim, dim), dtype=np.complex128)
-    field += random_algebra(rng, dim, TANGENT_AMPLITUDE)[None, :, :]
-    for k in range(1, modes + 1):
-        c_k = random_algebra(rng, dim, TANGENT_AMPLITUDE / (1 + k**2))
-        d_k = random_algebra(rng, dim, TANGENT_AMPLITUDE / (1 + k**2))
-        field += np.cos(k * theta)[:, None, None] * c_k
-        field += np.sin(k * theta)[:, None, None] * d_k
+    mode), with the same resolution-independence and stacking contract as
+    the loops."""
+    field = _smooth_field(seed, dim, num_samples, modes, stream,
+                          TANGENT_AMPLITUDE,
+                          lambda k: TANGENT_AMPLITUDE / (1 + k**2))
     return LoopTangent(field)
 
 

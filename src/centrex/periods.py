@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import eval_R
-from .loops import DiscreteLoop, LoopTangent, theta_grid, zero_tangent
+from .loops import (DiscreteLoop, LoopTangent, _check_grid, constant_loop,
+                    theta_grid)
+from .su import _dagger, project_algebra
 
 PAULI = np.array([
     [[0, 1], [1, 0]],
@@ -34,28 +36,32 @@ PAULI = np.array([
     [[1, 0], [0, -1]],
 ], dtype=np.complex128)
 
+# the su(2) basis i sigma_k, each flattened to a row of 4 entries
+_I_SIGMA = 1j * PAULI.reshape(3, 4)
+
 
 def _dot_sigma(vec):
     """(v . sigma) for a (..., 3) array of real 3-vectors."""
     return np.tensordot(np.asarray(vec, dtype=np.float64), PAULI, axes=([-1], [0]))
 
 
+def _vectors(x, y, z):
+    """Stack three broadcast components into (..., 3) real 3-vectors."""
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
 def _nu(u, phi):
-    return np.array([np.sin(u) * np.cos(phi),
-                     np.sin(u) * np.sin(phi),
-                     np.cos(u)])
+    return _vectors(np.sin(u) * np.cos(phi), np.sin(u) * np.sin(phi),
+                    np.cos(u))
 
 
 def _nu_du(u, phi):
-    return np.array([np.cos(u) * np.cos(phi),
-                     np.cos(u) * np.sin(phi),
-                     -np.sin(u)])
+    return _vectors(np.cos(u) * np.cos(phi), np.cos(u) * np.sin(phi),
+                    -np.sin(u))
 
 
 def _nu_dphi(u, phi):
-    return np.array([-np.sin(u) * np.sin(phi),
-                     np.sin(u) * np.cos(phi),
-                     0.0])
+    return _vectors(-np.sin(u) * np.sin(phi), np.sin(u) * np.cos(phi), 0.0)
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,7 @@ class SphereFamily:
             raise ValueError("grid_phi must be >= 4")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
+        _check_grid(self.num_samples)
 
     def node(self, i, j):
         u = np.pi * i / self.grid_u
@@ -90,7 +97,6 @@ class SphereFamily:
     def loop_at(self, u, phi):
         n_samp = self.num_samples
         if self.degenerate:
-            from .loops import constant_loop
             return constant_loop(2, n_samp)
         theta = theta_grid(n_samp)
         nu_sigma = _dot_sigma(_nu(u, phi))
@@ -99,27 +105,32 @@ class SphereFamily:
         return DiscreteLoop(samples)
 
     def tangents_at(self, u, phi):
-        """Left-trivialized (d_u, d_phi) tangent fields, analytic."""
+        """Left-trivialized (d_u, d_phi) tangent fields, analytic.  An
+        array of phi gives tangents stacked along its shape."""
         n_samp = self.num_samples
+        phi = np.asarray(phi, dtype=np.float64)
+        shape = phi.shape + (n_samp, 2, 2)
         if self.degenerate:
-            return zero_tangent(2, n_samp), zero_tangent(2, n_samp)
+            zero = np.zeros(shape, dtype=np.complex128)
+            return LoopTangent(zero), LoopTangent(zero)
         theta = theta_grid(n_samp)
-        sc = (np.sin(theta) * np.cos(theta))[:, None, None]
-        ss = (np.sin(theta) ** 2)[:, None, None]
+        # X = (sin cos) i(dnu . sigma) + (sin^2) i((nu x dnu) . sigma): the
+        # two theta profiles times one 2 x 4 coefficient block per phi
+        profiles = np.stack([np.sin(theta) * np.cos(theta),
+                             np.sin(theta) ** 2], axis=-1)
         nu = _nu(u, phi)
         out = []
         for dnu, scale in ((_nu_du(u, phi), 1.0),
                            (_nu_dphi(u, phi), float(self.orientation))):
-            direct = _dot_sigma(dnu)
-            crossed = _dot_sigma(np.cross(nu, dnu))
-            out.append(LoopTangent(1j * scale * (sc * direct + ss * crossed)))
+            vectors = scale * np.stack([dnu, np.cross(nu, dnu)], axis=-2)
+            out.append(LoopTangent(
+                (profiles @ (vectors @ _I_SIGMA)).reshape(shape)))
         return out[0], out[1]
 
     def fd_tangents_at(self, u, phi, h=1e-6):
         """Central-difference alternative to the analytic tangents."""
-        from .su import project_algebra
         g0 = self.loop_at(u, phi)
-        g0_inv = np.conjugate(np.swapaxes(g0.samples, 1, 2))
+        g0_inv = _dagger(g0.samples)
         out = []
         for du, dphi in ((h, 0.0), (0.0, h * self.orientation)):
             gp = self.loop_at(u + du, phi + dphi)
@@ -141,18 +152,17 @@ def sphere_period(family):
 
     Returns the raw real period; integrality means this is (close to) an
     integer, the pairing of the 2 pi i-normalized bundle curvature with
-    the cycle divided by 2 pi i.
+    the cycle divided by 2 pi i.  Each u-row of the grid is evaluated as
+    one stack of tangents, so only one row is held at a time.
     """
     nu_grid, nphi = family.grid_u, family.grid_phi
     du = np.pi / nu_grid
     dphi = 2.0 * np.pi / nphi
     w_u = _simpson_weights(nu_grid) * du
+    columns = np.arange(nphi)
     total = 0.0
     for i in range(nu_grid + 1):
-        row = 0.0
-        for j in range(nphi):
-            u, phi = family.node(i, j)
-            xu, xphi = family.tangents_at(u, phi)
-            row += eval_R(xu, xphi)
+        u, phi = family.node(i, columns)
+        row = eval_R(*family.tangents_at(u, phi)).sum()
         total += w_u[i] * row * dphi
     return float(total)

@@ -24,12 +24,19 @@ def _dagger(a):
     return np.conjugate(np.swapaxes(a, -1, -2))
 
 
+def _frobenius(a):
+    """Samplewise Frobenius norm of a C-contiguous stack of complex
+    matrices, read as real vectors of length 2 n^2."""
+    v = a.view(np.float64).reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
 def unitary_residual(g):
     """max of ||g* g - I||_F and |det g - 1| (stacked input: worst sample)."""
     g = np.asarray(g, dtype=np.complex128)
-    n = g.shape[-1]
-    gram = _dagger(g) @ g - np.eye(n)
-    frob = np.sqrt(np.abs(gram * np.conjugate(gram)).sum(axis=(-2, -1)))
+    gram = _dagger(g) @ g
+    gram -= np.eye(g.shape[-1])
+    frob = _frobenius(gram)
     det = np.abs(np.linalg.det(g) - 1.0)
     return float(np.max(frob, initial=0.0)), float(np.max(det, initial=0.0))
 
@@ -45,9 +52,10 @@ def assert_special_unitary(g, tol=UNITARY_TOL):
 def algebra_residual(x):
     """max of ||X + X*||_F and |tr X| (stacked input: worst sample)."""
     x = np.asarray(x, dtype=np.complex128)
-    skew = x + _dagger(x)
-    frob = np.sqrt(np.abs(skew * np.conjugate(skew)).sum(axis=(-2, -1)))
-    tr = np.abs(np.trace(x, axis1=-2, axis2=-1))
+    skew = np.conjugate(np.swapaxes(x, -1, -2), order="C")
+    skew += x
+    frob = _frobenius(skew)
+    tr = np.abs(np.einsum("...ii->...", x))
     return float(np.max(frob, initial=0.0)), float(np.max(tr, initial=0.0))
 
 
@@ -125,6 +133,9 @@ def exponential(x, tol=EXP_OUTPUT_TOL):
 
 
 def random_algebra(rng, n, scale=1.0):
-    """Seeded random su(n) element: projected complex Gaussian."""
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return project_algebra(m) * scale
+    """Seeded random su(n) element: projected complex Gaussian.  An array
+    of scales gives one element per entry, drawn in order."""
+    scale = np.asarray(scale, dtype=np.float64)
+    m = rng.standard_normal(scale.shape + (2, n, n))
+    return (project_algebra(m[..., 0, :, :] + 1j * m[..., 1, :, :])
+            * scale[..., None, None])

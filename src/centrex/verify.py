@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
+from .errors import CapacityError
+from .forms import (_check_step, d_R_numeric, d_alpha_numeric, delta_form_R,
                     delta_form_alpha, eval_R, eval_alpha, face_pushforward,
                     left_invariance_check, left_invariance_fd_residual)
-from .loops import (displace, random_smooth_loop, random_smooth_tangent)
+from .loops import (_as_result, _check_synthesis, displace, random_smooth_loop,
+                    random_smooth_tangent)
 from .periods import SphereFamily, sphere_period
 from .rng import generator
-from .su import project_algebra
+from .su import _dagger, project_algebra
 
 DEFAULT_TOLERANCES = {
     "antisymmetry": 1e-11,
@@ -36,6 +38,17 @@ DEFAULT_TOLERANCES = {
 PUSHFORWARD_STEP = 1e-4
 PERIOD_TOLERANCE = 1e-3
 DEGENERATE_PERIOD_TOLERANCE = 1e-9
+
+# Capacity guards, set from the measured cost of the batched code (README).
+# The battery costs about trials * samples * dim^2 * (modes + 256) units:
+# the charts cost per sample about as much as 256 synthesis modes.  The
+# period costs about grid_u * grid_phi * samples units at the requested
+# grid (its doubling included), and holds one u-row of the doubled grid,
+# 2 * grid_phi * samples matrices, at a time.
+BATTERY_MODE_OFFSET = 256
+MAX_BATTERY_WORK = 2**27
+MAX_PERIOD_WORK = 2**23
+MAX_PERIOD_ROW = 2**16
 
 
 @dataclass
@@ -69,73 +82,97 @@ class GammaReport:
         return all(c.passed for c in self.checks)
 
 
-def _streams(trial):
-    base = 32 * trial
+# Trials are synthesized and checked in stacks of _CHUNK_SAMPLES // samples
+# (at least one), so a stack holds about _CHUNK_SAMPLES sample matrices
+# per array at any N.  A trial's residuals do not depend on the other
+# trials of its stack.
+_CHUNK_SAMPLES = 256
+
+
+def _streams(trials):
+    base = 32 * np.asarray(trials)
     return {name: base + k for k, name in enumerate(
         ("g1", "g2", "g3", "x1", "x2", "x3", "y1", "y2", "scalars"))}
 
 
+def check_battery_capacity(dim, samples, modes, trials):
+    """CapacityError unless the battery's work fits MAX_BATTERY_WORK."""
+    work = trials * samples * dim**2 * (modes + BATTERY_MODE_OFFSET)
+    if work > MAX_BATTERY_WORK:
+        raise CapacityError(
+            "verify needs trials*samples*dim^2*(modes+%d) = %d work units, "
+            "guard %d" % (BATTERY_MODE_OFFSET, work, MAX_BATTERY_WORK))
+
+
+def check_period_capacity(grid_u, grid_phi, samples):
+    """CapacityError unless the period fits MAX_PERIOD_WORK and one row
+    fits MAX_PERIOD_ROW."""
+    if grid_u * grid_phi * samples > MAX_PERIOD_WORK:
+        raise CapacityError(
+            "period needs grid_u*grid_phi*samples = %d work units, guard %d"
+            % (grid_u * grid_phi * samples, MAX_PERIOD_WORK))
+    if grid_phi * samples > MAX_PERIOD_ROW:
+        raise CapacityError(
+            "period rows need grid_phi*samples = %d, guard %d"
+            % (grid_phi * samples, MAX_PERIOD_ROW))
+
+
 def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
                       step=1e-3, alpha_sign=1.0, tolerances=None):
-    """The full invariant battery; returns a GammaReport (period excluded)."""
+    """The full invariant battery; returns a GammaReport (period excluded).
+
+    Trials are synthesized and checked in stacks; each check's residual
+    is the worst over all trials."""
+    if dim < 2:
+        raise ValueError("dim must be >= 2 (su(1) is zero), got %d" % dim)
+    if trials < 0:
+        raise ValueError("trials must be >= 0, got %d" % trials)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be in 0..2^64-1, got %d" % seed)
+    _check_synthesis(samples, modes)
+    _check_step(step)
+    check_battery_capacity(dim, samples, modes, trials)
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     worst = {name: 0.0 for name in tol}
-    for t in range(trials):
-        s = _streams(t)
-        g1 = random_smooth_loop(seed, dim, samples, modes, stream=s["g1"])
-        g2 = random_smooth_loop(seed, dim, samples, modes, stream=s["g2"])
-        g3 = random_smooth_loop(seed, dim, samples, modes, stream=s["g3"])
-        x1 = random_smooth_tangent(seed, dim, samples, modes, stream=s["x1"])
-        x2 = random_smooth_tangent(seed, dim, samples, modes, stream=s["x2"])
-        x3 = random_smooth_tangent(seed, dim, samples, modes, stream=s["x3"])
-        y1 = random_smooth_tangent(seed, dim, samples, modes, stream=s["y1"])
-        y2 = random_smooth_tangent(seed, dim, samples, modes, stream=s["y2"])
-        rng = generator(seed, 2**20 + s["scalars"])
-        a, b = (float(v) for v in rng.uniform(-1.5, 1.5, size=2))
+    chunk = max(1, _CHUNK_SAMPLES // samples)
+    for first in range(0, trials, chunk):
+        s = _streams(np.arange(first, min(first + chunk, trials)))
+        g1, g2, g3 = (random_smooth_loop(seed, dim, samples, modes,
+                                         stream=s[k])
+                      for k in ("g1", "g2", "g3"))
+        x1, x2, x3, y1, y2 = (random_smooth_tangent(seed, dim, samples, modes,
+                                                    stream=s[k])
+                              for k in ("x1", "x2", "x3", "y1", "y2"))
+        a, b = np.array([generator(seed, 2**20 + int(st)).uniform(
+            -1.5, 1.5, size=2) for st in s["scalars"]]).T
 
-        worst["antisymmetry"] = max(worst["antisymmetry"],
-                                    abs(eval_R(x1, y1) + eval_R(y1, x1)))
-
-        lin = max(
-            abs(eval_R(a * x1 + b * x2, y1)
-                - a * eval_R(x1, y1) - b * eval_R(x2, y1)),
-            abs(eval_R(x1, a * y1 + b * x3)
-                - a * eval_R(x1, y1) - b * eval_R(x1, x3)),
-            abs(eval_alpha(g2, a * x1 + b * x2)
-                - a * eval_alpha(g2, x1) - b * eval_alpha(g2, x2)),
-        )
-        worst["bilinearity"] = max(worst["bilinearity"], lin)
-
-        worst["delta_alpha"] = max(
-            worst["delta_alpha"],
-            abs(delta_form_alpha((g1, g2, g3), (x1, x2, x3),
-                                 alpha_sign=alpha_sign)))
-
+        residuals = {
+            "antisymmetry": abs(eval_R(x1, y1) + eval_R(y1, x1)),
+            "bilinearity": np.maximum.reduce([
+                abs(eval_R(a * x1 + b * x2, y1)
+                    - a * eval_R(x1, y1) - b * eval_R(x2, y1)),
+                abs(eval_R(x1, a * y1 + b * x3)
+                    - a * eval_R(x1, y1) - b * eval_R(x1, x3)),
+                abs(eval_alpha(g2, a * x1 + b * x2)
+                    - a * eval_alpha(g2, x1) - b * eval_alpha(g2, x2)),
+            ]),
+            "delta_alpha": abs(delta_form_alpha((g1, g2, g3), (x1, x2, x3),
+                                                alpha_sign=alpha_sign)),
+            "closedness": abs(d_R_numeric(g1, x1, x2, x3, h=step)),
+            "pushforward_merge": pushforward_fd_residual(
+                g1, g2, x1, x2, h=PUSHFORWARD_STEP),
+            "resolution_doubling": doubling_residual(
+                x1, y1, g2, seed, modes, s),
+            "left_invariance": left_invariance_check(g3, g1, g2, x1),
+            "left_invariance_fd": left_invariance_fd_residual(g3, g1, g2, x1),
+        }
         dr = delta_form_R((g1, g2), (x1, x2), (y1, y2))
         da = d_alpha_numeric((g1, g2), (x1, x2), (y1, y2), h=step,
                              alpha_sign=alpha_sign)
-        worst["delta_R_vs_d_alpha"] = max(worst["delta_R_vs_d_alpha"],
-                                          abs(dr - da) / (1.0 + abs(dr)))
-
-        worst["closedness"] = max(worst["closedness"],
-                                  abs(d_R_numeric(g1, x1, x2, x3, h=step)))
-
-        worst["pushforward_merge"] = max(
-            worst["pushforward_merge"],
-            pushforward_fd_residual(g1, g2, x1, x2, h=PUSHFORWARD_STEP))
-
-        worst["resolution_doubling"] = max(
-            worst["resolution_doubling"],
-            doubling_residual(seed, dim, samples, modes, s))
-
-        worst["left_invariance"] = max(
-            worst["left_invariance"],
-            left_invariance_check(g3, g1, g2, x1))
-
-        worst["left_invariance_fd"] = max(
-            worst["left_invariance_fd"],
-            left_invariance_fd_residual(g3, g1, g2, x1))
+        residuals["delta_R_vs_d_alpha"] = abs(dr - da) / (1.0 + abs(dr))
+        for name, values in residuals.items():
+            worst[name] = max(worst[name], float(np.max(values)))
 
     checks = []
     for name in sorted(tol):
@@ -152,28 +189,26 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
 
 def pushforward_fd_residual(g1, g2, x1, x2, h=PUSHFORWARD_STEP):
     """Merge-face tangent formula vs direct differentiation of the
-    product curve t -> g1 exp(tX1) g2 exp(tX2)."""
+    product curve t -> g1 exp(tX1) g2 exp(tX2); the worst sample of each
+    stack entry."""
     (_,), (tan,) = face_pushforward(1, (g1, g2), (x1, x2))
     plus = displace(g1, x1, h).multiply(displace(g2, x2, h))
     minus = displace(g1, x1, -h).multiply(displace(g2, x2, -h))
     base = g1.multiply(g2)
     fd = project_algebra(
-        np.conjugate(np.swapaxes(base.samples, 1, 2))
-        @ (plus.samples - minus.samples) / (2.0 * h))
-    return float(np.abs(fd - tan.samples).max())
+        _dagger(base.samples) @ (plus.samples - minus.samples) / (2.0 * h))
+    return _as_result(np.abs(fd - tan.samples).max(axis=(-3, -2, -1)))
 
 
-def doubling_residual(seed, dim, samples, modes, streams):
-    """R and alpha evaluated on the same smooth data at N and 2N."""
-    fine = 2 * samples
-    x_n = random_smooth_tangent(seed, dim, samples, modes, stream=streams["x1"])
-    y_n = random_smooth_tangent(seed, dim, samples, modes, stream=streams["y1"])
-    x_f = random_smooth_tangent(seed, dim, fine, modes, stream=streams["x1"])
-    y_f = random_smooth_tangent(seed, dim, fine, modes, stream=streams["y1"])
-    g_n = random_smooth_loop(seed, dim, samples, modes, stream=streams["g2"])
-    g_f = random_smooth_loop(seed, dim, fine, modes, stream=streams["g2"])
-    return max(abs(eval_R(x_n, y_n) - eval_R(x_f, y_f)),
-               abs(eval_alpha(g_n, x_n) - eval_alpha(g_f, x_f)))
+def doubling_residual(x, y, g, seed, modes, streams):
+    """R and alpha on the N-sample data (x, y, g) against the same smooth
+    data synthesized at 2N from the streams of x1, y1 and g2."""
+    fine = 2 * x.num_samples
+    x_f, y_f = (random_smooth_tangent(seed, x.dim, fine, modes,
+                                      stream=streams[k]) for k in ("x1", "y1"))
+    g_f = random_smooth_loop(seed, x.dim, fine, modes, stream=streams["g2"])
+    return _as_result(np.maximum(abs(eval_R(x, y) - eval_R(x_f, y_f)),
+                                 abs(eval_alpha(g, x) - eval_alpha(g_f, x_f))))
 
 
 def full_gamma_report(dim=2, samples=128, modes=3, trials=100, seed=0,
@@ -193,13 +228,15 @@ def run_period_check(grid=(64, 64), samples=128, degenerate=False,
     """Period of R over the generator family at the given and the doubled
     grid resolutions; integrality asks the raw period to sit within
     tolerance of one nonzero integer at both."""
+    families = [SphereFamily(grid_u=grid[0] * factor,
+                             grid_phi=grid[1] * factor,
+                             num_samples=samples,
+                             orientation=orientation,
+                             degenerate=degenerate)
+                for factor in (1, 2)]
+    check_period_capacity(grid[0], grid[1], samples)
     results = []
-    for factor in (1, 2):
-        family = SphereFamily(grid_u=grid[0] * factor,
-                              grid_phi=grid[1] * factor,
-                              num_samples=samples,
-                              orientation=orientation,
-                              degenerate=degenerate)
+    for family in families:
         period = sphere_period(family)
         nearest = int(round(period))
         results.append({

@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrex import cohomology
+from centrex import cohomology, verify
 from centrex.cli import main
 from centrex.cochains import Cochain, format_cochain, parse_cochain
+from centrex.errors import CapacityError
 from centrex.groups import (cyclic, dihedral, format_group_table, klein_four,
                             parse_group_table)
 
@@ -176,6 +178,63 @@ def test_verify_negate_alpha_fails(tmp_path):
     report = json.loads(out.read_text())
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert failed == ["delta_R_vs_d_alpha"]
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_verify_report_independent_of_chunk(tmp_path, monkeypatch, dim):
+    # a trial's residuals never depend on the trials stacked beside it
+    flags = ["verify", "--dim", dim, "--trials", "5", "--seed", "2"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(flags + ["--out", str(a)]) == 0
+    monkeypatch.setattr(verify, "_CHUNK_SAMPLES", 1)
+    assert main(flags + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [["--dim", "0"], ["--dim", "1"],
+                                   ["--trials", "-1"], ["--modes", "-1"],
+                                   ["--samples", "24"], ["--seed", "-1"],
+                                   ["--trials", "0", "--step", "5"]])
+def test_verify_input_bounds_exit_2(flags, capsys):
+    assert main(["verify"] + flags) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def _exits_3_without_allocating(argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code == 3 and peak < 2**20
+
+
+def test_verify_capacity_guard():
+    # dim 2, N = 16, no modes: trials * 16 * 4 * 256 units, 2^13 trials fit
+    small = ["--dim", "2", "--samples", "16", "--modes", "0"]
+    assert verify.MAX_BATTERY_WORK == 2**13 * 16 * 4 * 256
+    verify.check_battery_capacity(2, 16, 0, 2**13)
+    with pytest.raises(CapacityError):
+        verify.check_battery_capacity(2, 16, 0, 2**13 + 1)
+    assert _exits_3_without_allocating(
+        ["verify", "--trials", str(2**13 + 1)] + small)
+    assert _exits_3_without_allocating(
+        ["verify", "--dim", "3", "--samples", "2048", "--modes", "256"])
+
+
+def test_period_capacity_guard():
+    # 128 x 512 x 128 meets both guards exactly
+    assert verify.MAX_PERIOD_WORK == 128 * 512 * 128
+    assert verify.MAX_PERIOD_ROW == 512 * 128
+    verify.check_period_capacity(128, 512, 128)
+    with pytest.raises(CapacityError, match="work"):
+        verify.check_period_capacity(130, 512, 128)
+    with pytest.raises(CapacityError, match="rows"):
+        verify.check_period_capacity(2, 516, 128)
+    assert _exits_3_without_allocating(["period", "--grid", "100000x100000"])
+    assert _exits_3_without_allocating(["period", "--grid", "2x4096",
+                                        "--samples", "32"])
 
 
 def test_period_command(tmp_path):

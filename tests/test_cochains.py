@@ -138,6 +138,15 @@ def test_values_reduced_mod_n():
     assert c.value(0, 0) == 2
 
 
+@pytest.mark.parametrize("degree", [10**20, 70, -1])
+def test_cochain_degree_out_of_range(degree):
+    # checked before (m,) * degree is built or its size taken in int64
+    with pytest.raises(ValueError, match="0..64"):
+        Cochain(Z2, 2, degree, [0])
+    with pytest.raises(ValueError, match="0..64"):
+        Cochain.zeros(Z2, 2, degree)
+
+
 def test_cochain_file_roundtrip():
     rng = generator(23)
     for group, n, p in ((Z3, 3, 2), (V4, 2, 1), (Z2, 5, 0)):

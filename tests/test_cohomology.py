@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import centrex
+from centrex import cohomology
 from centrex.cochains import Cochain, delta, random_cochain
 from centrex.cohomology import (coboundary_space, cocycle_space,
                                 cohomologous, delta_matrix,
@@ -54,6 +55,23 @@ def test_smith_normal_form_transforms():
                                   np.eye(A.shape[1], dtype=int))
             assert np.array_equal(np.mod(res.U @ res.Uinv, n),
                                   np.eye(A.shape[0], dtype=int))
+
+
+def test_smith_normal_form_in_place_handover():
+    # a _Reduced input is diagonalized in place (delta^2 is held once); a
+    # plain input is copied and left as it was
+    rng = generator(11)
+    for n in (2, 6):
+        A = np.mod(rng.integers(-4, 5, size=(7, 5)), n)
+        kept = A.copy()
+        res = smith_normal_form(A, n)
+        assert np.array_equal(A, kept)
+        handed = A.copy()
+        res2 = smith_normal_form(handed.view(cohomology._Reduced), n)
+        assert res2.diag == res.diag
+        assert np.array_equal(res2.V, res.V)
+        assert np.array_equal(res2.Vinv, res.Vinv)
+        assert not np.array_equal(handed, kept)
 
 
 def test_kernel_mod_counts_by_enumeration():

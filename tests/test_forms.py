@@ -210,3 +210,36 @@ def test_left_invariance():
     y1 = _tan(59, 4)
     assert eval_R(x1, y1) - eval_R(x1, y1) == 0.0
     assert left_invariance_fd_residual(k, g1, g2, x1) <= 1e-9
+
+
+def test_stacked_forms_match_unstacked_calls():
+    # a stack of three points gives each entry's unstacked value
+    for dim in (2, 3):
+        g = [random_smooth_loop(61, dim, 64, 3, stream=[10 * k + t
+                                                        for t in range(3)])
+             for k in range(3)]
+        x = [random_smooth_tangent(61, dim, 64, 3,
+                                   stream=[10 * k + 5 + t for t in range(3)])
+             for k in range(4)]
+        stacked = (
+            eval_R(x[0], x[1]), eval_alpha(g[1], x[0]),
+            delta_form_alpha(tuple(g), tuple(x[:3])),
+            delta_form_R(tuple(g[:2]), tuple(x[:2]), tuple(x[2:])),
+            d_alpha_numeric(tuple(g[:2]), tuple(x[:2]), tuple(x[2:])),
+            d_R_numeric(g[0], *x[:3]),
+            left_invariance_fd_residual(g[2], g[0], g[1], x[0]),
+            pushforward_fd_residual(g[0], g[1], x[0], x[1]))
+        for t in range(3):
+            gt = [DiscreteLoop(a.samples[t]) for a in g]
+            xt = [LoopTangent(a.samples[t]) for a in x]
+            single = (
+                eval_R(xt[0], xt[1]), eval_alpha(gt[1], xt[0]),
+                delta_form_alpha(tuple(gt), tuple(xt[:3])),
+                delta_form_R(tuple(gt[:2]), tuple(xt[:2]), tuple(xt[2:])),
+                d_alpha_numeric(tuple(gt[:2]), tuple(xt[:2]), tuple(xt[2:])),
+                d_R_numeric(gt[0], *xt[:3]),
+                left_invariance_fd_residual(gt[2], gt[0], gt[1], xt[0]),
+                pushforward_fd_residual(gt[0], gt[1], xt[0], xt[1]))
+            for many, one in zip(stacked, single):
+                assert many.shape == (3,) and type(one) is float
+                assert abs(many[t] - one) <= 1e-15

@@ -126,3 +126,23 @@ def test_zero_tangent_shape():
     z = zero_tangent(3, N)
     assert z.samples.shape == (N, 3, 3)
     assert np.abs(z.samples).max() == 0.0
+
+
+def test_stacked_loops_and_tangents():
+    g = random_smooth_loop(17, 2, N, 3, stream=[4, 5])
+    x = random_smooth_tangent(17, 2, N, 3, stream=[6, 7])
+    assert g.samples.shape == (2, N, 2, 2) and g.num_samples == N
+    assert x.dim == 2
+    # one scalar per stack entry
+    scaled = np.array([2.0, -0.5]) * x
+    assert np.array_equal(scaled.samples[1], (-0.5 * LoopTangent(
+        x.samples[1])).samples)
+    # one bad entry fails the whole stack
+    bad = g.samples.copy()
+    bad[1, 3] *= 2
+    with pytest.raises(ValueError, match="SU"):
+        DiscreteLoop(bad)
+    theta = theta_grid(N)
+    rows = circle_integral(np.stack([np.ones(N), np.cos(theta) ** 2]))
+    assert rows.shape == (2,)
+    assert np.allclose(rows, [2 * np.pi, np.pi], atol=1e-12)

@@ -47,6 +47,39 @@ def test_orientation_reversal_negates_period():
     assert q == pytest.approx(-p, abs=1e-12)
 
 
+def _per_node_period(family):
+    # the quadrature one node at a time: scalar tangents_at and eval_R
+    w_u = np.ones(family.grid_u + 1)
+    w_u[1:-1:2], w_u[2:-1:2] = 4.0, 2.0
+    w_u *= np.pi / family.grid_u / 3.0
+    total = 0.0
+    for i in range(family.grid_u + 1):
+        row = 0.0
+        for j in range(family.grid_phi):
+            row += eval_R(*family.tangents_at(*family.node(i, j)))
+        total += w_u[i] * row * 2.0 * np.pi / family.grid_phi
+    return total
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_row_stacked_period_matches_per_node_reference(orientation):
+    fam = SphereFamily(16, 16, 64, orientation=orientation)
+    assert abs(sphere_period(fam) - _per_node_period(fam)) <= 1e-13
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_vector_phi_tangents_match_scalar_calls(degenerate):
+    fam = SphereFamily(8, 8, 32, orientation=-1, degenerate=degenerate)
+    u, phi = fam.node(3, np.arange(8))
+    stacked = fam.tangents_at(u, phi)
+    for j in range(8):
+        single = fam.tangents_at(*fam.node(3, j))
+        for a, b in zip(stacked, single):
+            assert a.samples.shape == (8, 32, 2, 2)
+            assert b.samples.shape == (32, 2, 2)
+            assert np.abs(a.samples[j] - b.samples).max() <= 1e-16
+
+
 def test_degenerate_family_period_zero():
     assert sphere_period(SphereFamily(8, 8, 32, degenerate=True)) == 0.0
 
