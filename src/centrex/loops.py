@@ -204,14 +204,15 @@ _FD8_OFFSETS = (-4, -3, -2, -1, 1, 2, 3, 4)
 
 
 def fd_derivative8(values):
-    """8th-order centered finite difference on the periodic grid
-    (independent cross-check of the spectral derivative)."""
+    """8th-order centered finite difference on the periodic grid along the
+    sample axis of a (..., N, n, n) array (independent cross-check of the
+    spectral derivative)."""
     values = np.asarray(values)
-    num = values.shape[0]
+    num = values.shape[-3]
     h = 2.0 * np.pi / num
     out = np.zeros_like(values, dtype=np.complex128)
     for coeff, off in zip(_FD8, _FD8_OFFSETS):
-        out += coeff * np.roll(values, -off, axis=0)
+        out += coeff * np.roll(values, -off, axis=-3)
     return out / h
 
 

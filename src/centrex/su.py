@@ -31,13 +31,31 @@ def _frobenius(a):
     return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
+def _det(a):
+    """Samplewise determinant of a stack of n x n matrices: the explicit
+    cofactor formulas for n <= 3, LAPACK (an LU per matrix) above."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, 0]
+    if n == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    if n == 3:
+        return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2]
+                                - a[..., 1, 2] * a[..., 2, 1])
+                - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2]
+                                  - a[..., 1, 2] * a[..., 2, 0])
+                + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1]
+                                  - a[..., 1, 1] * a[..., 2, 0]))
+    return np.linalg.det(a)
+
+
 def unitary_residual(g):
     """max of ||g* g - I||_F and |det g - 1| (stacked input: worst sample)."""
     g = np.asarray(g, dtype=np.complex128)
     gram = _dagger(g) @ g
     gram -= np.eye(g.shape[-1])
     frob = _frobenius(gram)
-    det = np.abs(np.linalg.det(g) - 1.0)
+    det = np.abs(_det(g) - 1.0)
     return float(np.max(frob, initial=0.0)), float(np.max(det, initial=0.0))
 
 
@@ -105,19 +123,66 @@ def exp_stack(x):
 
     n = 2 uses the closed form exp(X) = cos(r) I + sinc(r) X with
     r = sqrt(det X) (real and nonnegative for traceless skew-Hermitian
-    2 x 2); n >= 3 diagonalizes the Hermitian matrix iX.
+    2 x 2); n = 3 uses the Cayley-Hamilton closed form of _exp_su3;
+    n >= 4 diagonalizes the Hermitian matrix iX.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
+    if n == 1:
+        return np.exp(x)
     if n == 2:
-        det = (x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]).real
-        r = np.sqrt(np.maximum(det, 0.0))
+        r = np.sqrt(np.maximum(_det(x).real, 0.0))
         eye = np.eye(2)
         return (np.cos(r)[..., None, None] * eye
                 + np.sinc(r / np.pi)[..., None, None] * x)
+    if n == 3:
+        return _exp_su3(x)
     w, q = np.linalg.eigh(1j * x)
     phase = np.exp(-1j * w)
     return (q * phase[..., None, :]) @ _dagger(q)
+
+
+# Below this c1 = tr(Q^2)/2 the n = 3 exponential takes the Q -> 0 limit
+# f = (1, i, -1/2) of its coefficients, which is exact to O(|Q|^3) < 1e-30.
+_SU3_SMALL_C1 = 1e-20
+
+
+def _exp_su3(x):
+    """exp(X) = f0 I + f1 Q + f2 Q^2 for X = iQ in su(3), Q Hermitian
+    traceless (Morningstar & Peardon, Phys. Rev. D 69, 054501 (2004),
+    Sec. III).
+
+    With c0 = det Q and c1 = tr(Q^2)/2, the eigenvalues of Q are 2u and
+    -u +- w, where u = sqrt(c1/3) cos(theta/3), w = sqrt(c1) sin(theta/3)
+    and cos(theta) = |c0| / (2 (c1/3)^(3/2)).  The coefficients are taken
+    at |c0| and mapped back by f_j(-c0) = (-1)^j conj(f_j(c0)).
+    """
+    c0 = -_det(x).imag                  # det Q = det(-iX) = i det X, real
+    c1 = 0.5 * np.einsum("...ab,...ab->...", x.real, x.real) \
+        + 0.5 * np.einsum("...ab,...ab->...", x.imag, x.imag)
+    small = c1 < _SU3_SMALL_C1
+    c1 = np.where(small, 1.0, c1)
+    cos_theta = np.minimum(np.abs(c0) / (2.0 * (c1 / 3.0) ** 1.5), 1.0)
+    third = np.arccos(cos_theta) / 3.0
+    u = np.sqrt(c1 / 3.0) * np.cos(third)
+    w = np.sqrt(c1) * np.sin(third)
+    uu, ww = u * u, w * w
+    cos_w, xi0 = np.cos(w), np.sinc(w / np.pi)
+    e2iu, emiu = np.exp(2j * u), np.exp(-1j * u)
+    denom = 9.0 * uu - ww
+    f0 = ((uu - ww) * e2iu
+          + emiu * (8.0 * uu * cos_w + 2j * u * (3.0 * uu + ww) * xi0)) / denom
+    f1 = (2.0 * u * e2iu
+          - emiu * (2.0 * u * cos_w - 1j * (3.0 * uu - ww) * xi0)) / denom
+    f2 = (e2iu - emiu * (cos_w + 3j * u * xi0)) / denom
+    neg = c0 < 0
+    f0 = np.where(small, 1.0, np.where(neg, np.conjugate(f0), f0))
+    f1 = np.where(small, 1j, np.where(neg, -np.conjugate(f1), f1))
+    f2 = np.where(small, -0.5, np.where(neg, np.conjugate(f2), f2))
+    # f1 Q = -i f1 X and f2 Q^2 = -f2 X^2
+    out = (-f2)[..., None, None] * (x @ x) + (-1j * f1)[..., None, None] * x
+    out[..., (0, 1, 2), (0, 1, 2)] += f0[..., None]
+    return out
 
 
 def exponential(x, tol=EXP_OUTPUT_TOL):

@@ -86,7 +86,7 @@ class GammaReport:
 # (at least one), so a stack holds about _CHUNK_SAMPLES sample matrices
 # per array at any N.  A trial's residuals do not depend on the other
 # trials of its stack.
-_CHUNK_SAMPLES = 256
+_CHUNK_SAMPLES = 1024
 
 
 def _streams(trials):

@@ -182,8 +182,9 @@ def test_verify_negate_alpha_fails(tmp_path):
 
 @pytest.mark.parametrize("dim", ["2", "3"])
 def test_verify_report_independent_of_chunk(tmp_path, monkeypatch, dim):
-    # a trial's residuals never depend on the trials stacked beside it
-    flags = ["verify", "--dim", dim, "--trials", "5", "--seed", "2"]
+    # a trial's residuals never depend on the trials stacked beside it;
+    # 11 trials at N = 128 make one full stack and one partial stack
+    flags = ["verify", "--dim", dim, "--trials", "11", "--seed", "2"]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(flags + ["--out", str(a)]) == 0
     monkeypatch.setattr(verify, "_CHUNK_SAMPLES", 1)

@@ -98,6 +98,11 @@ def test_spectral_vs_eighth_order_fd():
     g = random_smooth_loop(23, 2, 128, 3, stream=5)
     residual = np.abs(theta_derivative(g) - fd_derivative8(g.samples)).max()
     assert residual <= 1e-8
+    # a stack differentiates each entry along its own sample axis
+    stack = random_smooth_loop(23, 2, 128, 3, stream=[5, 6, 7])
+    fd = fd_derivative8(stack.samples)
+    assert np.abs(theta_derivative(stack) - fd).max() <= 1e-8
+    assert np.array_equal(fd[0], fd_derivative8(g.samples))
 
 
 def test_displace_first_order():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from centrex.errors import NumericalError
 from centrex.rng import generator
-from centrex.su import (ad_invariance_residual, algebra_residual,
+from centrex.su import (_det, ad_invariance_residual, algebra_residual,
                         assert_algebra, assert_special_unitary, exp_stack,
                         exponential, killing_form, project_algebra,
                         random_algebra, unitary_residual)
@@ -110,13 +110,57 @@ def test_exponential_respects_conjugation():
             assert np.abs(lhs - rhs).max() <= 1e-9
 
 
-def test_exponential_closed_form_matches_eigh_for_su2():
+def _degenerate_su3_cases():
+    # exactly degenerate spectrum diag(ia, ia, -2ia), then split by eps,
+    # each also rotated by a random unitary
+    rng = generator(17)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                        + 1j * rng.standard_normal((3, 3)))
+    cases = []
+    for a in (0.3, 1.0, 2.5):
+        for eps in (0.0, 1e-4, 1e-6, 1e-8, 1e-10):
+            d = np.diag([1j * (a + eps), 1j * (a - eps), -2j * a])
+            cases += [d, q @ d @ q.conj().T]
+    return np.array(cases)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exponential_closed_form_matches_eigh(n):
     rng = generator(13)
-    for _ in range(20):
-        x = random_algebra(rng, 2)
-        w, q = np.linalg.eigh(1j * x)
-        via_eigh = (q * np.exp(-1j * w)[None, :]) @ q.conj().T
-        assert np.abs(exp_stack(x) - via_eigh).max() <= 1e-13
+    stacks = [np.zeros((1, n, n))]
+    stacks += [random_algebra(rng, n, np.full(20, scale))
+               for scale in (1e-12, 1e-8, 1.0, 3.0)]
+    if n == 3:
+        stacks.append(_degenerate_su3_cases())
+    for x in stacks:
+        for signed in (x, -x):       # both signs of det(-iX) for n = 3
+            w, q = np.linalg.eigh(1j * signed)
+            via_eigh = (q * np.exp(-1j * w)[..., None, :]) @ np.conj(
+                np.swapaxes(q, -1, -2))
+            g = exp_stack(signed)
+            assert np.abs(g - via_eigh).max() <= 1e-13
+            assert max(unitary_residual(g)) <= 1e-13
+
+
+def test_small_n_paths_avoid_lapack(monkeypatch):
+    # eigh and det are left to n >= 4; n <= 3 stays elementwise
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called for n <= 3")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    rng = generator(21)
+    for n in (1, 2, 3):
+        g = exponential(random_algebra(rng, n, np.full(4, 0.7)))
+        assert max(unitary_residual(g)) <= 1e-13
+
+
+def test_small_determinant_matches_lapack():
+    rng = generator(19)
+    for n in (2, 3):
+        m = (rng.standard_normal((50, n, n))
+             + 1j * rng.standard_normal((50, n, n)))
+        ref = np.linalg.det(m)
+        assert np.abs(_det(m) - ref).max() <= 1e-13 * (1 + np.abs(ref).max())
 
 
 def test_exponential_rejects_non_algebra_input():
@@ -154,3 +198,8 @@ def test_residual_helpers_detect_violations():
     assert frob > 1 and det > 1
     with pytest.raises(ValueError):
         assert_special_unitary(2 * np.eye(2))
+    # unitary, but det -1: only the determinant residual sees it
+    reflection = np.diag([1.0, 1.0, -1.0])
+    assert unitary_residual(reflection) == (0.0, 2.0)
+    with pytest.raises(ValueError):
+        assert_special_unitary(reflection)
