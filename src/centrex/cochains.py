@@ -14,6 +14,8 @@ product on Z/n x G.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .errors import CapacityError
@@ -142,8 +144,8 @@ def face_map(group, p, i, elements):
 def _face_grids(table, grids, i):
     """Pull the index grids of G^{p+1} back through the face d_i.
 
-    The array form of ``face_map``: ``delta`` indexes a cochain with the
-    result and ``cohomology.delta_matrix`` flattens it into columns.
+    The array form of ``face_map``: ``delta_stack`` indexes cochains with
+    the result and ``cohomology.delta_matrix`` flattens it into columns.
     """
     q = len(grids)
     if i == 0:
@@ -154,24 +156,36 @@ def _face_grids(table, grids, i):
     return tuple(grids[:i - 1]) + (merged,) + tuple(grids[i + 1:])
 
 
-def delta(cochain):
-    """Bar differential: degree p -> degree p+1, alternating sum over faces."""
-    group, n, p = cochain.group, cochain.modulus, cochain.degree
+def delta_stack(group, n, p, values):
+    """Bar differential on degree-p cochain values with leading stack axes.
+
+    ``values`` has shape (...,) + (m,)*p and the result (...,) + (m,)*(p+1),
+    reduced into [0, n); each stack entry is differentiated on its own.
+    """
     m = group.order
-    if m ** (p + 1) > MAX_DELTA_OUTPUT:
-        raise CapacityError(
-            "delta output has %d entries (limit %d)"
-            % (m ** (p + 1), MAX_DELTA_OUTPUT))
+    values = np.asarray(values, dtype=np.int64)
+    lead = values.shape[:values.ndim - p]
     shape = (m,) * (p + 1)
-    out = np.zeros(shape, dtype=np.int64)
+    size = m ** (p + 1) * prod(lead)
+    if size > MAX_DELTA_OUTPUT:
+        raise CapacityError("delta output has %d entries (limit %d)"
+                            % (size, MAX_DELTA_OUTPUT))
+    out = np.zeros(lead + shape, dtype=np.int64)
     if p == 0:
         # both faces of a 1-tuple land on the empty tuple: the terms cancel
-        return Cochain(group, n, 1, out)
+        return out
     grids = np.indices(shape)
     for i in range(p + 2):
-        term = cochain.values[_face_grids(group.table, grids, i)]
+        term = values[(Ellipsis,) + _face_grids(group.table, grids, i)]
         out += term if i % 2 == 0 else -term
-    return Cochain(group, n, p + 1, np.mod(out, n))
+    return np.mod(out, n, out=out)
+
+
+def delta(cochain):
+    """Bar differential: degree p -> degree p+1, alternating sum over faces."""
+    return Cochain(cochain.group, cochain.modulus, cochain.degree + 1,
+                   delta_stack(cochain.group, cochain.modulus,
+                               cochain.degree, cochain.values))
 
 
 def delta_squared(cochain):

@@ -1,13 +1,22 @@
 """Cocycles, coboundaries and second cohomology over Z/n by linear algebra.
 
 The condition delta(c) = 0 is Z/n-linear in the m^2 unknown values of a
-degree-2 cochain, so Z^2 is the kernel of the matrix of delta mod n, B^2
-is the image of the degree-1 differential, and H^2 = Z^2 / B^2 is the
+degree-2 cochain, so Z^2 is the kernel of a matrix of delta mod n, B^2 is
+the image of the degree-1 differential, and H^2 = Z^2 / B^2 is the
 cokernel of the coboundaries written in coordinates of Z^2.  All three
 come from one Smith normal form over Z/n, a principal ideal ring, with
 every entry kept in [0, n) (Storjohann & Mulders, "Fast algorithms for
 linear algebra modulo N", ESA 1998).  A brute-force enumeration oracle is
 provided independently for small cases.
+
+Z^2 needs only the m^2 |S| rows of delta^2 at the triples (g, h, s) with
+s in a generating set S of G, not all m^3.  delta c(g, h, k) = 0 says the
+twisted product on Z/n x G is associative at (x, y, z) over (g, h, k), and
+the k at which that holds for every g, h are closed under products (Light's
+associativity test, Clifford & Preston, The Algebraic Theory of Semigroups
+I, 1961, section 1.2; see groups._check_associative).  So once they contain
+S they are all of G.  ``groups.generating_set`` picks S with
+|S| <= log2(m).  The oracle keeps the full delta^2 as its reference.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import numpy as np
 
 from .cochains import Cochain, _face_grids, delta
 from .errors import CapacityError
+from .groups import generating_set
 
 MAX_GROUP_ORDER = 32
 MAX_MODULUS = 8
@@ -34,13 +44,16 @@ def check_capacity(group, n):
         raise CapacityError("modulus %d outside guard 1..%d" % (n, MAX_MODULUS))
 
 
-def delta_matrix(group, p):
+def delta_matrix(group, p, last=None):
     """Integer matrix of the bar differential M^p -> M^{p+1} (row-major),
-    built from the same face grids as ``delta``."""
+    built from the same face grids as ``delta``.  ``last`` keeps only the
+    rows whose (p+1)-tuple ends in one of its elements, in its order."""
     m = group.order
-    rows, cols = m ** (p + 1), m ** p
+    last = np.arange(m) if last is None else np.asarray(last, dtype=np.int64)
+    grids = np.indices((m,) * p + (last.size,)).reshape(p + 1, -1)
+    grids[-1] = last[grids[-1]]
+    rows, cols = grids.shape[1], m ** p
     A = np.zeros((rows, cols), dtype=np.int64)
-    grids = np.indices((m,) * (p + 1)).reshape(p + 1, -1)
     row_ids = np.arange(rows)
     for i in range(p + 2):
         face = _face_grids(group.table, grids, i)
@@ -270,6 +283,7 @@ class SecondCohomology:
     b2_size: int
     invariant_factors: list
     representatives: list
+    z2_generators: list
 
 
 def cocycle_space(group, n):
@@ -285,9 +299,11 @@ def coboundary_space(group, n):
 
 
 def _cocycle_space(group, n):
-    # delta^2 is the largest array of an h2 run (256 MiB at order 32): it is
-    # reduced in place and handed to the SNF, so only one copy is ever held
-    A = delta_matrix(group, 2)
+    # delta c(g, h, k) = 0 for all g, h holds for every k once it holds for
+    # the k of a generating set (Light's test, groups._check_associative),
+    # so only those m^2 |S| rows of delta^2 are built; the matrix is
+    # reduced in place and handed to the SNF, so one copy is ever held
+    A = delta_matrix(group, 2, last=generating_set(group.table))
     np.mod(A, n, out=A)
     size, gens, orders, res = kernel_mod(A.view(_Reduced), n)
     generators = [Cochain(group, n, 2, g) for g in gens]
@@ -337,7 +353,7 @@ def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
     reps = [Cochain(group, n, 2, flat) for flat in flats]
     invariants = sorted(f for f in factors if f > 1)
     return SecondCohomology(group, n, size, zspace.size, bspace.size,
-                            invariants, reps)
+                            invariants, reps, zspace.generators)
 
 
 def cohomologous(c1, c2):

@@ -13,7 +13,8 @@ import numpy as np
 
 from .cochains import delta, violating_triple
 from .errors import CocycleError
-from .groups import FiniteGroup, _validate_table, table_fingerprint
+from .groups import (FiniteGroup, _element_orders, _validate_table,
+                     table_fingerprint)
 
 
 class ExtensionGroup:
@@ -51,8 +52,8 @@ class ExtensionGroup:
         kernel = idx[g == 0]
         if not np.array_equal(table[kernel, :], table[:, kernel].T):
             raise AssertionError("kernel of the projection is not central")
-        korders = _subgroup_orders(table, e, kernel)
-        if sorted(korders) != sorted(_cyclic_orders(n)):
+        korders = _element_orders(table, e, kernel)
+        if sorted(korders.tolist()) != sorted(_cyclic_orders(n)):
             raise AssertionError("kernel is not cyclic of order n")
         table.setflags(write=False)
         inverse.setflags(write=False)
@@ -95,17 +96,6 @@ class ExtensionGroup:
 def _cyclic_orders(n):
     from math import gcd
     return [n // gcd(a, n) for a in range(n)]
-
-
-def _subgroup_orders(table, e, members):
-    orders = []
-    for x in members:
-        y, k = int(x), 1
-        while y != e:
-            y = int(table[y, x])
-            k += 1
-        orders.append(k)
-    return orders
 
 
 def build_extension(cocycle):

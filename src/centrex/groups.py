@@ -13,18 +13,72 @@ from itertools import permutations
 import numpy as np
 
 
+def _closure(table, members):
+    """Smallest superset of the boolean mask ``members`` closed under the
+    table product.  Each round multiplies the members by each other, so on
+    a group the rounds grow like log2 of the longest word needed."""
+    members = members.copy()
+    while True:
+        inside = np.flatnonzero(members)
+        reached = np.zeros_like(members)
+        reached[table[inside[:, None], inside]] = True
+        if not (reached & ~members).any():
+            return members
+        members |= reached
+
+
+def _identity(table):
+    """Index of the two-sided identity of a Latin square, or None."""
+    ref = np.arange(table.shape[0])
+    hits = np.flatnonzero((table == ref).all(axis=1)
+                          & (table == ref[:, None]).all(axis=0))
+    return int(hits[0]) if hits.size else None
+
+
+def generating_set(table):
+    """Ascending S whose closure under the table product is every element.
+
+    Greedy: S takes the smallest element not yet reached, and the closure
+    of S (with the identity, when there is one) grows by products.  The
+    identity never enters S.  On a group the closure of S is the subgroup
+    it generates, and each new element at least doubles it, so
+    |S| <= log2(m).
+    """
+    members = np.zeros(table.shape[0], dtype=bool)
+    e = _identity(table)
+    if e is not None:
+        members[e] = True
+    gens = []
+    while not members.all():
+        s = int(np.argmin(members))
+        gens.append(s)
+        members[s] = True
+        members = _closure(table, members)
+    return np.array(gens, dtype=np.int64)
+
+
 def _check_associative(table):
-    """Return the first non-associative triple, or None.  O(m^3), chunked."""
+    """The first (g, h, k) in row-major order with (gh)k != g(hk) and k in
+    ``generating_set(table)``, or None.
+
+    Light's test: for any magma the set of k with (xy)k = x(yk) for all
+    x, y is closed under products, since (xy)(st) = ((xy)s)t = (x(ys))t
+    = x((ys)t) = x(y(st)) when s and t are in it.  So it holds everywhere
+    as soon as it holds on a set whose closure is everything, and m^2 |S|
+    products decide what m^3 would.  Chunked over g.
+    """
     m = table.shape[0]
-    chunk = max(1, 2**22 // max(m * m, 1))
-    for k0 in range(0, m, chunk):
-        ks = np.arange(k0, min(k0 + chunk, m))
-        lhs = table[table[:, :, None], ks[None, None, :]]
-        rhs = table[:, table[:, ks]]
+    gens = generating_set(table)
+    right = table[:, gens]
+    chunk = max(1, 2**22 // max(m * gens.size, 1))
+    for g0 in range(0, m, chunk):
+        rows = table[g0:g0 + chunk]
+        lhs = table[rows[:, :, None], gens]
+        rhs = rows[:, right]
         bad = np.argwhere(lhs != rhs)
         if bad.size:
             g, h, j = bad[0]
-            return int(g), int(h), int(ks[j])
+            return int(g0 + g), int(h), int(gens[j])
     return None
 
 
@@ -91,33 +145,19 @@ class GroupFingerprint:
     derived_order: int
 
 
-def _element_orders(table, e):
-    m = table.shape[0]
-    orders = np.empty(m, dtype=np.int64)
-    for g in range(m):
-        x, k = g, 1
-        while x != e:
-            x = table[x, g]
-            k += 1
-        orders[g] = k
-    return orders
-
-
-def _closure(table, seed):
-    """Subgroup generated by ``seed`` under the table product."""
-    members = set(seed)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        base = list(members)
-        for a in frontier:
-            for b in base:
-                for c in (int(table[a, b]), int(table[b, a])):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return members
+def _element_orders(table, e, elements=None):
+    """Order of each of ``elements`` (default: all) in a group table with
+    identity ``e``: the powers of the whole batch advance together."""
+    x = np.arange(table.shape[0]) if elements is None else np.asarray(elements)
+    orders = np.zeros(x.shape, dtype=np.int64)
+    power, k = x, 1
+    while True:
+        done = (power == e) & (orders == 0)
+        orders[done] = k
+        if orders.all():
+            return orders
+        power = table[power, x]
+        k += 1
 
 
 def table_fingerprint(table, e):
@@ -131,18 +171,16 @@ def table_fingerprint(table, e):
     rows, cols = np.nonzero(table == e)
     inv = np.empty(m, dtype=np.int64)
     inv[rows] = cols
-    commutators = {
-        int(table[table[g, h], table[inv[g], inv[h]]])
-        for g in range(m)
-        for h in range(m)
-    }
-    derived = _closure(table, commutators | {int(e)})
+    # [g, h] = (g h)(g^-1 h^-1); the derived subgroup is their closure
+    derived = np.zeros(m, dtype=bool)
+    derived[table[table, table[inv[:, None], inv[None, :]]]] = True
+    derived = _closure(table, derived)
     return GroupFingerprint(
         order=m,
         element_orders=tuple(sorted(int(k) for k in orders)),
         is_abelian=bool(abelian),
         center_order=center_order,
-        derived_order=len(derived),
+        derived_order=int(np.count_nonzero(derived)),
     )
 
 

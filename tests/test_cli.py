@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrex import cohomology, verify
-from centrex.cli import main
+from centrex.cli import _full_delta_zero, main
 from centrex.cochains import Cochain, format_cochain, parse_cochain
 from centrex.errors import CapacityError
 from centrex.groups import (cyclic, dihedral, format_group_table, klein_four,
@@ -77,6 +78,63 @@ def test_h2_builds_each_space_once(files, monkeypatch):
         inputs.clear()
         assert main(["h2", "--group", files[name], "--modulus", n]) == 0
         assert len(inputs) == 3 and len(set(inputs)) == 3
+
+
+def test_h2_z2_matrix_has_generator_rows_only(files, monkeypatch):
+    # Z^2 is the kernel of the delta^2 rows (g, h, s) with s in a generating
+    # set: at most m^2 log2(m) rows, not m^3
+    shapes = []
+    real = cohomology.smith_normal_form
+
+    def recording(A, n, track_u=False):
+        shapes.append(np.asarray(A).shape)
+        return real(A, n, track_u=track_u)
+
+    monkeypatch.setattr(cohomology, "smith_normal_form", recording)
+    assert main(["h2", "--group", files["d8"], "--modulus", "2"]) == 0
+    m = dihedral(8).order
+    z2_rows = [rows for rows, cols in shapes if cols == m * m]
+    assert len(z2_rows) == 1
+    assert z2_rows[0] <= m * m * math.ceil(math.log2(m))
+
+
+def test_h2_full_delta_certificate(tmp_path, monkeypatch):
+    # the full delta over all m^3 triples certifies Z^2: it passes on the
+    # generator rows of delta^2 and fails once a generator is left out
+    # (which on S3 leaves 64 classes, under the enumeration cap)
+    group = tmp_path / "s3.grp"
+    group.write_text(format_group_table(dihedral(3)))
+    out = tmp_path / "s3.json"
+    argv = ["h2", "--group", str(group), "--modulus", "2", "--out", str(out)]
+
+    def failed():
+        report = json.loads(out.read_text())
+        names = [c["name"] for c in report["checks"]]
+        assert names == ["counts_consistent", "z2_full_delta"]
+        return {c["name"] for c in report["checks"] if not c["passed"]}
+
+    assert main(argv) == 0
+    assert failed() == set()
+    real = cohomology.generating_set
+    monkeypatch.setattr(cohomology, "generating_set",
+                        lambda table: real(table)[:-1])
+    assert main(argv) == 1
+    assert failed() == {"z2_full_delta"}
+
+
+def test_full_delta_certificate_on_d6(monkeypatch):
+    d6 = dihedral(6)
+    h2 = cohomology.second_cohomology(d6, 2)
+    assert _full_delta_zero(h2).all()
+    real = cohomology.generating_set
+    monkeypatch.setattr(cohomology, "generating_set",
+                        lambda table: real(table)[:-1])
+    # a dropped generator leaves 8192 "classes"; enumerate them anyway
+    h2 = cohomology.second_cohomology(d6, 2, max_classes=2**13)
+    closed = _full_delta_zero(h2)
+    assert len(closed) == len(h2.z2_generators) + h2.size
+    assert not closed[:len(h2.z2_generators)].all()
+    assert not closed.all()
 
 
 def test_h2_modulus_one(files):

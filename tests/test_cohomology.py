@@ -8,7 +8,7 @@ import pytest
 
 import centrex
 from centrex import cohomology
-from centrex.cochains import Cochain, delta, random_cochain
+from centrex.cochains import Cochain, delta, delta_stack, random_cochain
 from centrex.cohomology import (coboundary_space, cocycle_space,
                                 cohomologous, delta_matrix,
                                 exhaustive_coboundaries, exhaustive_cocycles,
@@ -16,7 +16,8 @@ from centrex.cohomology import (coboundary_space, cocycle_space,
                                 second_cohomology, smith_normal_form,
                                 solve_mod)
 from centrex.errors import CapacityError
-from centrex.groups import (cyclic, dihedral, klein_four, quaternion8,
+from centrex.groups import (cyclic, dihedral, direct_product,
+                            generating_set, klein_four, quaternion8,
                             symmetric3)
 from centrex.rng import generator
 
@@ -33,6 +34,45 @@ def test_delta_matrix_matches_delta_operator():
         c = random_cochain(group, n, 2, rng)
         via_matrix = np.mod(A @ c.values.reshape(-1), n)
         assert np.array_equal(via_matrix, delta(c).values.reshape(-1))
+
+
+def test_restricted_delta_matrix_keeps_rows_in_order():
+    # restricting the last coordinate selects rows of the full matrix,
+    # (g, h) major and the listed k minor
+    for group in (S3, quaternion8()):
+        m = group.order
+        full = delta_matrix(group, 2).reshape(m, m, m, m * m)
+        last = generating_set(group.table)
+        part = delta_matrix(group, 2, last=last)
+        assert np.array_equal(part, full[:, :, last].reshape(-1, m * m))
+        assert np.array_equal(delta_matrix(group, 1, last=np.arange(m)),
+                              delta_matrix(group, 1))
+
+
+def test_delta_stack_matches_delta_per_entry():
+    rng = generator(5)
+    for group, n, p in ((S3, 4, 1), (V4, 3, 2), (quaternion8(), 2, 2)):
+        cochains = [random_cochain(group, n, p, rng) for _ in range(3)]
+        stacked = delta_stack(group, n, p, np.stack([c.values for c in cochains]))
+        for c, d in zip(cochains, stacked):
+            assert np.array_equal(d, delta(c).values)
+    with pytest.raises(CapacityError):
+        delta_stack(S3, 2, 2, np.zeros((2**22 // 6**3 + 1, 6, 6), dtype=int))
+
+
+Z2_4 = direct_product(direct_product(Z2, Z2), direct_product(Z2, Z2))
+
+
+@pytest.mark.parametrize("group, n", [
+    (dihedral(8), 2), (quaternion8(), 4), (dihedral(6), 8), (Z2_4, 2),
+    (direct_product(cyclic(4), cyclic(4)), 8),
+], ids=["D8-n2", "Q8-n4", "D6-n8", "Z2^4-n2", "Z4xZ4-n8"])
+def test_z2_from_generator_rows_matches_full_kernel(group, n):
+    full_size, _, _, _ = kernel_mod(delta_matrix(group, 2), n)
+    zs = cocycle_space(group, n)
+    assert zs.size == full_size
+    for gen in zs.generators:
+        assert delta(gen).is_zero
 
 
 def test_smith_normal_form_transforms():
