@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from .cochains import delta_stack, load_cochain, violating_triple
+from .cochains import delta_stack, load_cochain
 from .cohomology import (check_capacity, exhaustive_second_cohomology,
                          second_cohomology)
 from .errors import CapacityError, CocycleError
@@ -200,13 +200,13 @@ def _cmd_extend(args):
               "modulus": cochain.modulus}
     inputs = {"group": file_digest(args.group),
               "cochain": file_digest(args.cochain)}
-    bad = violating_triple(cochain)
-    if bad is not None:
+    try:
+        ext = build_extension(cochain)
+    except CocycleError as exc:
         checks = [CheckResult(name="cocycle_condition", residual=1.0,
                               tolerance=0.0, passed=False, trials=1)]
-        payload = {"violating_triple": list(bad)}
+        payload = {"violating_triple": list(exc.triple)}
         return build_report("extend", params, checks, payload, inputs)
-    ext = build_extension(cochain)
     fp = table_fingerprint(ext.table, ext.identity)
     checks = [
         CheckResult(name="cocycle_condition", residual=0.0, tolerance=0.0,

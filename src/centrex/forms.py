@@ -107,8 +107,7 @@ def _chart_tangents(base, field, directions, h):
 
     ``base`` is a sample array that may carry more leading axes than the
     fields (several base loops sharing one chart).  All exponentials come
-    from one exp_stack call, exp(field) once for every direction; the base
-    point base exp(field) is validated as a loop.
+    from one exp_stack call, exp(field) once for every direction.
     """
     charts = np.empty((1 + 2 * len(directions),) + field.shape,
                       dtype=np.complex128)
@@ -117,8 +116,8 @@ def _chart_tangents(base, field, directions, h):
         charts[2 * k + 1] = field + h * d
         charts[2 * k + 2] = field - h * d
     exps = exp_stack(charts)
-    u0_inv = _dagger(DiscreteLoop(base @ exps[0]).samples)
-    return [LoopTangent(project_algebra(
+    u0_inv = _dagger(base @ exps[0])
+    return [LoopTangent._trusted(project_algebra(
         u0_inv @ (base @ exps[2 * k + 1] - base @ exps[2 * k + 2]) / (2.0 * h)))
         for k in range(len(directions))]
 
@@ -140,7 +139,8 @@ def d_alpha_numeric(point, xi, eta, h=1e-3, alpha_sign=1.0):
         # point moved by s along (move1, move2)
         (tan,) = _chart_tangents(g1.samples, s * move1.samples,
                                  (direction.samples,), h)
-        base2 = DiscreteLoop(g2.samples @ exp_stack(s * move2.samples))
+        base2 = DiscreteLoop._trusted(
+            g2.samples @ exp_stack(s * move2.samples))
         return alpha_sign * eval_alpha(base2, tan)
 
     term_s = (alpha_along(x1, x2, y1, h)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import generator
-from .su import (_dagger, algebra_residual, exp_stack, project_algebra,
-                 random_algebra, unitary_residual, UNITARY_TOL, ALGEBRA_TOL)
+from .su import (_dagger, assert_algebra, assert_special_unitary, exp_stack,
+                 project_algebra, random_algebra)
 
 MIN_SAMPLES = 16
 
@@ -49,27 +49,31 @@ def theta_grid(num_samples):
 
 def _ingest(samples, what):
     samples = np.ascontiguousarray(samples, dtype=np.complex128)
-    if samples.ndim < 3 or samples.shape[-1] != samples.shape[-2]:
-        raise ValueError("%s samples must have shape (..., N, n, n)" % what)
+    if samples.ndim < 3 or not samples.shape[-1] == samples.shape[-2] >= 1:
+        raise ValueError("%s samples need shape (..., N, n, n), n > 0" % what)
     _check_grid(samples.shape[-3])
+    samples.setflags(write=False)
     return samples
 
 
 @dataclass(frozen=True)
-class DiscreteLoop:
-    """N samples of a smooth map from the circle into SU(n), or a stack of
-    such loops along leading axes."""
+class _Sampled:
+    """Read-only complex128 samples of a loop or tangent field; the public
+    constructor checks that they are members (SU(n) or su(n))."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = _ingest(self.samples, "loop")
-        frob, det = unitary_residual(samples)
-        if frob > UNITARY_TOL or det > UNITARY_TOL:
-            raise ValueError("loop samples leave SU(n): unitarity %.3e, "
-                             "det %.3e" % (frob, det))
-        samples.setflags(write=False)
+        samples = _ingest(self.samples, type(self).__name__)
+        self._check_members(samples)
         object.__setattr__(self, "samples", samples)
+
+    @classmethod
+    def _trusted(cls, samples):
+        """Store samples that are members by construction, unchecked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "samples", _ingest(samples, cls.__name__))
+        return obj
 
     @property
     def num_samples(self):
@@ -79,49 +83,37 @@ class DiscreteLoop:
     def dim(self):
         return self.samples.shape[-1]
 
+
+class DiscreteLoop(_Sampled):
+    """N samples of a smooth map from the circle into SU(n), or a stack of
+    such loops along leading axes."""
+
+    _check_members = staticmethod(assert_special_unitary)
+
     def multiply(self, other):
-        return DiscreteLoop(self.samples @ other.samples)
+        return DiscreteLoop._trusted(self.samples @ other.samples)
 
     def inverse(self):
-        return DiscreteLoop(_dagger(self.samples))
+        return DiscreteLoop._trusted(_dagger(self.samples))
 
 
-@dataclass(frozen=True)
-class LoopTangent:
+class LoopTangent(_Sampled):
     """Left-trivialized tangent field: su(n)-valued samples on the grid,
     or a stack of such fields along leading axes."""
-
-    samples: np.ndarray
 
     # keeps ndarray * LoopTangent from broadcasting over the tangent as an
     # object, so that the product reaches __rmul__
     __array_ufunc__ = None
-
-    def __post_init__(self):
-        samples = _ingest(self.samples, "tangent")
-        frob, tr = algebra_residual(samples)
-        if frob > ALGEBRA_TOL or tr > ALGEBRA_TOL:
-            raise ValueError("tangent samples leave su(n): skew %.3e, "
-                             "trace %.3e" % (frob, tr))
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def num_samples(self):
-        return self.samples.shape[-3]
-
-    @property
-    def dim(self):
-        return self.samples.shape[-1]
+    _check_members = staticmethod(assert_algebra)
 
     def __add__(self, other):
-        return LoopTangent(self.samples + other.samples)
+        return LoopTangent._trusted(self.samples + other.samples)
 
     def __sub__(self, other):
-        return LoopTangent(self.samples - other.samples)
+        return LoopTangent._trusted(self.samples - other.samples)
 
     def __neg__(self):
-        return LoopTangent(-self.samples)
+        return LoopTangent._trusted(-self.samples)
 
     def __rmul__(self, scalar):
         """Real scalar times the field; an array of scalars scales each
@@ -129,31 +121,36 @@ class LoopTangent:
         if np.iscomplexobj(scalar):
             raise TypeError("su(n) is a real vector space: scalars must be real")
         scale = np.asarray(scalar, dtype=np.float64)
-        return LoopTangent(scale[..., None, None, None] * self.samples)
+        return LoopTangent._trusted(
+            scale[..., None, None, None] * self.samples)
 
     __mul__ = __rmul__
 
 
 def constant_loop(dim, num_samples, matrix=None):
     if matrix is None:
-        matrix = np.eye(dim, dtype=np.complex128)
+        return DiscreteLoop._trusted(
+            np.broadcast_to(np.eye(dim), (num_samples, dim, dim)))
     return DiscreteLoop(np.broadcast_to(matrix, (num_samples, dim, dim)).copy())
 
 
 def zero_tangent(dim, num_samples):
-    return LoopTangent(np.zeros((num_samples, dim, dim), dtype=np.complex128))
+    return LoopTangent._trusted(np.zeros((num_samples, dim, dim),
+                                         dtype=np.complex128))
 
 
 def conjugate_tangent(conjugator, tangent):
     """Samplewise g X g^{-1}; with conjugator = g2.inverse() this is the
     adjoint action Ad(g2^{-1}) appearing in the merge pushforward."""
     g = conjugator.samples
-    return LoopTangent(project_algebra(g @ tangent.samples @ _dagger(g)))
+    return LoopTangent._trusted(
+        project_algebra(g @ tangent.samples @ _dagger(g)))
 
 
 def displace(loop, tangent, amount):
-    """The loop g exp(t X), the basic chart around g."""
-    return DiscreteLoop(loop.samples @ exp_stack(amount * tangent.samples))
+    """The loop g exp(t X), the basic chart around g (t real)."""
+    return DiscreteLoop._trusted(
+        loop.samples @ exp_stack((amount * tangent).samples))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +281,8 @@ def parse_loop(text):
         dim, num = int(tokens[0]), int(tokens[1])
     except ValueError:
         raise ValueError("loop header must be two integers 'n N'")
+    if dim < 1 or num < 1:
+        raise ValueError("loop header needs n >= 1 and N >= 1")
     need = 2 * num * dim * dim
     body = tokens[2:]
     if len(body) != need:
@@ -293,9 +292,8 @@ def parse_loop(text):
         flat = np.array([float(t) for t in body], dtype=np.float64)
     except ValueError:
         raise ValueError("loop entries must be real numbers")
-    re = flat[0::2].reshape(num, dim, dim)
-    im = flat[1::2].reshape(num, dim, dim)
-    return DiscreteLoop(re + 1j * im)
+    # "re im" pairs are the memory layout of complex128
+    return DiscreteLoop(flat.view(np.complex128).reshape(num, dim, dim))
 
 
 def format_loop(loop):

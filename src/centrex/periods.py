@@ -102,7 +102,7 @@ class SphereFamily:
         nu_sigma = _dot_sigma(_nu(u, phi))
         samples = (np.cos(theta)[:, None, None] * np.eye(2)
                    + 1j * np.sin(theta)[:, None, None] * nu_sigma)
-        return DiscreteLoop(samples)
+        return DiscreteLoop._trusted(samples)
 
     def tangents_at(self, u, phi):
         """Left-trivialized (d_u, d_phi) tangent fields, analytic.  An
@@ -112,7 +112,7 @@ class SphereFamily:
         shape = phi.shape + (n_samp, 2, 2)
         if self.degenerate:
             zero = np.zeros(shape, dtype=np.complex128)
-            return LoopTangent(zero), LoopTangent(zero)
+            return LoopTangent._trusted(zero), LoopTangent._trusted(zero)
         theta = theta_grid(n_samp)
         # X = (sin cos) i(dnu . sigma) + (sin^2) i((nu x dnu) . sigma): the
         # two theta profiles times one 2 x 4 coefficient block per phi
@@ -123,7 +123,7 @@ class SphereFamily:
         for dnu, scale in ((_nu_du(u, phi), 1.0),
                            (_nu_dphi(u, phi), float(self.orientation))):
             vectors = scale * np.stack([dnu, np.cross(nu, dnu)], axis=-2)
-            out.append(LoopTangent(
+            out.append(LoopTangent._trusted(
                 (profiles @ (vectors @ _I_SIGMA)).reshape(shape)))
         return out[0], out[1]
 
@@ -136,7 +136,7 @@ class SphereFamily:
             gp = self.loop_at(u + du, phi + dphi)
             gm = self.loop_at(u - du, phi - dphi)
             diff = (gp.samples - gm.samples) / (2.0 * h)
-            out.append(LoopTangent(project_algebra(g0_inv @ diff)))
+            out.append(LoopTangent._trusted(project_algebra(g0_inv @ diff)))
         return out[0], out[1]
 
 

@@ -60,10 +60,12 @@ def unitary_residual(g):
 
 
 def assert_special_unitary(g, tol=UNITARY_TOL):
-    frob, det = unitary_residual(g)
-    if frob > tol or det > tol:
+    """ValueError unless every sample is in SU(n); NaN and inf fail."""
+    with np.errstate(all="ignore"):
+        frob, det = unitary_residual(g)
+    if not (frob <= tol and det <= tol):
         raise ValueError(
-            "matrix is not special unitary within %.1e "
+            "matrix is not in SU(n) within %.1e "
             "(unitarity %.3e, det %.3e)" % (tol, frob, det))
 
 
@@ -78,8 +80,10 @@ def algebra_residual(x):
 
 
 def assert_algebra(x, tol=ALGEBRA_TOL):
-    frob, tr = algebra_residual(x)
-    if frob > tol or tr > tol:
+    """ValueError unless every sample is in su(n); NaN and inf fail."""
+    with np.errstate(all="ignore"):
+        frob, tr = algebra_residual(x)
+    if not (frob <= tol and tr <= tol):
         raise ValueError(
             "matrix is not in su(n) within %.1e "
             "(skew-Hermiticity %.3e, trace %.3e)" % (tol, frob, tr))

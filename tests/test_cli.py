@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrex import cohomology, verify
+from centrex import cli, cochains, cohomology, extensions, verify
 from centrex.cli import _full_delta_zero, main
 from centrex.cochains import Cochain, format_cochain, parse_cochain
 from centrex.errors import CapacityError
@@ -181,6 +181,27 @@ def test_extend_rejects_non_cocycle(files, tmp_path):
     assert not report["all_passed"]
     triple = report["payload"]["violating_triple"]
     assert len(triple) == 3
+
+
+def test_extend_checks_cocycle_condition_once(files, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(cochain):
+        calls.append(cochain)
+        return cochains.violating_triple(cochain)
+
+    for module in (cli, extensions):
+        if hasattr(module, "violating_triple"):
+            monkeypatch.setattr(module, "violating_triple", counted)
+    assert main(["extend", "--group", files["z2"], "--cochain",
+                 files["z4coc"]]) == 0
+    assert len(calls) == 1
+    out = tmp_path / "bad.json"
+    assert main(["extend", "--group", files["z2"], "--cochain",
+                 files["badcoc"], "--out", str(out)]) == 1
+    assert len(calls) == 2
+    triple = json.loads(out.read_text())["payload"]["violating_triple"]
+    assert tuple(triple) == cochains.violating_triple(calls[1])
 
 
 def test_extend_modulus_cross_check(files):

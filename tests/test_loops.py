@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from centrex import forms, loops, periods, su, verify
 from centrex.loops import (DiscreteLoop, LoopTangent, circle_integral,
                            constant_loop, displace, fd_derivative8,
                            format_loop, parse_loop, random_smooth_loop,
                            random_smooth_tangent, right_log_derivative,
                            theta_derivative, theta_grid, zero_tangent)
-from centrex.su import exp_stack
+from centrex.su import assert_algebra, assert_special_unitary, exp_stack
 
 H = np.array([[1j, 0], [0, -1j]])
 N = 64
@@ -151,3 +156,95 @@ def test_stacked_loops_and_tangents():
     rows = circle_integral(np.stack([np.ones(N), np.cos(theta) ** 2]))
     assert rows.shape == (2,)
     assert np.allclose(rows, [2 * np.pi, np.pi], atol=1e-12)
+
+
+def _rejected(make):
+    """make() raises ValueError, and no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            make()
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_rejected(fill):
+    bad = np.full((16, 2, 2), fill, dtype=np.complex128)
+    _rejected(lambda: DiscreteLoop(bad))
+    _rejected(lambda: LoopTangent(bad))
+    _rejected(lambda: assert_special_unitary(bad[0]))
+    _rejected(lambda: assert_algebra(bad[0]))
+    # one non-finite entry in an otherwise valid loop or tangent
+    g = random_smooth_loop(3, 2, 16, 2).samples.copy()
+    g[5, 0, 1] = fill
+    _rejected(lambda: DiscreteLoop(g))
+    x = random_smooth_tangent(3, 2, 16, 2).samples.copy()
+    x[5, 1, 1] = fill
+    _rejected(lambda: LoopTangent(x))
+    tokens = format_loop(random_smooth_loop(3, 2, 16, 2)).split()
+    tokens[2] = repr(fill)
+    _rejected(lambda: parse_loop(" ".join(tokens)))
+
+
+def test_empty_matrices_rejected():
+    _rejected(lambda: DiscreteLoop(np.zeros((16, 0, 0))))
+    _rejected(lambda: LoopTangent(np.zeros((16, 0, 0))))
+    _rejected(lambda: parse_loop("0 16\n"))
+
+
+_LOOP_TOKENS = st.one_of(
+    st.integers(-3, 6), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "0x1", "\u0661"]))
+
+
+def _sized_loop(header):
+    # header "n N" followed by exactly the 2 N n^2 tokens it announces
+    dim, num = header
+    return st.lists(_LOOP_TOKENS, min_size=2 * num * dim * dim,
+                    max_size=2 * num * dim * dim).map(
+        lambda body: [dim, num] + body)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.lists(_LOOP_TOKENS, max_size=12),
+    st.tuples(st.sampled_from([-1, 0, 1, 2, 2**62]),
+              st.sampled_from([-16, 0, 4, 16, 2**62])).map(list),
+    st.tuples(st.sampled_from([0, 1, 2]),
+              st.sampled_from([0, 8, 16])).flatmap(_sized_loop)))
+def test_parse_loop_raises_only_value_error(tokens):
+    try:
+        loop = parse_loop(" ".join(map(str, tokens)))
+    except ValueError:
+        return
+    assert isinstance(loop, DiscreteLoop)
+    assert np.isfinite(loop.samples).all()
+
+
+def _count_checks(monkeypatch):
+    """Count membership residuals, patched in every module binding them."""
+    calls = []
+    for name in ("unitary_residual", "algebra_residual"):
+        original = getattr(su, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
+
+        for module in (su, loops, forms, periods, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_intermediates_are_not_rechecked(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    # 128 samples: stacks of 8 trials, so 11 trials make two stacks
+    report = verify.run_gamma_battery(dim=2, samples=128, modes=3, trials=11,
+                                      seed=4)
+    assert report.all_passed
+    # per stack: g1-g3, x1-x3, y1, y2 and the doubled x1, y1, g2
+    assert len(calls) == 2 * 11
+    del calls[:]
+    _, check = verify.run_period_check(grid=(16, 16), samples=32)
+    assert check.passed and calls == []
