@@ -31,7 +31,7 @@ from .cochains import delta_stack, load_cochain
 from .cohomology import (check_capacity, exhaustive_second_cohomology,
                          second_cohomology)
 from .errors import CapacityError, CocycleError
-from .extensions import build_extension
+from .extensions import ExtensionGroup, build_extension
 from .groups import load_group, table_fingerprint
 from .report import build_report, file_digest, human_summary, write_report
 from .verify import CheckResult, run_gamma_battery, run_period_check
@@ -140,7 +140,8 @@ def _cmd_h2(args, command):
     for rep, cocycle in zip(h2.representatives,
                             closed[len(h2.z2_generators):]):
         if cocycle:
-            ext = build_extension(rep)
+            # z2_full_delta has just applied the full delta to rep
+            ext = ExtensionGroup._trusted(rep)
             fp = _fingerprint_dict(table_fingerprint(ext.table, ext.identity))
         else:
             fp = None
@@ -208,12 +209,8 @@ def _cmd_extend(args):
         payload = {"violating_triple": list(exc.triple)}
         return build_report("extend", params, checks, payload, inputs)
     fp = table_fingerprint(ext.table, ext.identity)
-    checks = [
-        CheckResult(name="cocycle_condition", residual=0.0, tolerance=0.0,
-                    passed=True, trials=1),
-        CheckResult(name="group_axioms", residual=0.0, tolerance=0.0,
-                    passed=True, trials=1),
-    ]
+    checks = [CheckResult(name="cocycle_condition", residual=0.0,
+                          tolerance=0.0, passed=True, trials=1)]
     payload = {
         "order": ext.order,
         "identity_index": ext.identity,

@@ -339,8 +339,6 @@ def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
         track_u=True)
     factors = _cyclic_orders(res3, k, n)
     size = prod(factors)
-    if size != zspace.size // bspace.size or zspace.size % bspace.size:
-        raise AssertionError("|Z^2| != |B^2| * |H^2|")
     if size > max_classes:
         raise CapacityError("H^2 has %d classes; enumeration capped at %d"
                             % (size, max_classes))

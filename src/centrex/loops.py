@@ -116,11 +116,13 @@ class LoopTangent(_Sampled):
         return LoopTangent._trusted(-self.samples)
 
     def __rmul__(self, scalar):
-        """Real scalar times the field; an array of scalars scales each
-        entry of the stack by its own value."""
+        """Finite real scalar times the field; an array of scalars scales
+        each entry of the stack by its own value."""
         if np.iscomplexobj(scalar):
             raise TypeError("su(n) is a real vector space: scalars must be real")
         scale = np.asarray(scalar, dtype=np.float64)
+        if not np.isfinite(scale).all():
+            raise ValueError("tangent scalars must be finite")
         return LoopTangent._trusted(
             scale[..., None, None, None] * self.samples)
 

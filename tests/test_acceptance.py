@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from centrex.cli import main
-from centrex.cochains import Cochain, delta, delta_squared, random_cochain
+from centrex.cochains import (Cochain, delta, delta_squared, delta_stack,
+                              random_cochain)
 from centrex.cohomology import (cocycle_space, cohomologous,
                                 exhaustive_second_cohomology,
                                 second_cohomology)
@@ -55,23 +56,60 @@ def test_criterion_01_delta_squared_is_zero():
     _verdict(1, "delta^2 = 0 (exhaustive deg 0-1, 200 random deg 2)", ok)
 
 
+def _twisted_tables(group, n, values):
+    """Tables of the twisted product (a, g)(b, h) = (a + b + c(g, h), gh)
+    on Z/n x G, (a, g) at index a*m + g, one per cochain of the stack
+    ``values`` (shape (C, m, m)); built here, not by centrex."""
+    m = group.order
+    idx = np.arange(n * m)
+    a, g = idx // m, idx % m
+    twist = values[:, g[:, None], g[None, :]]
+    return (((a[:, None] + a[None, :] + twist) % n) * m
+            + group.table[g[:, None], g[None, :]]).astype(np.int8)
+
+
+def _associative(tables):
+    """(xy)z = x(yz) over all triples, one verdict per table of the stack."""
+    s = np.arange(len(tables))[:, None, None, None]
+    x = np.arange(tables.shape[1])
+    left = tables[s, tables[:, :, :, None], x]
+    right = tables[s, x[:, None, None], tables[:, None, :, :]]
+    return (left == right).reshape(len(tables), -1).all(axis=1)
+
+
 def test_criterion_02_cocycle_iff_associative():
     ok = True
-    for group in (CATALOG["Z2"], CATALOG["Z2xZ2"]):
+    for group, cocycles in ((CATALOG["Z2"], 4), (CATALOG["Z2xZ2"], 32)):
         m = group.order
         width = m * m
-        for code in range(2**width):
-            vals = [(code >> i) & 1 for i in range(width)]
-            c = Cochain(group, 2, 2, np.array(vals).reshape(m, m))
-            is_cocycle = delta(c).is_zero
+        found = 0
+        for start in range(0, 2**width, 4096):  # every cochain, in chunks
+            codes = np.arange(start, min(start + 4096, 2**width))
+            values = ((codes[:, None] >> np.arange(width)) & 1).astype(
+                np.int8).reshape(-1, m, m)
+            tables = _twisted_tables(group, 2, values)
+            closed = ~delta_stack(group, 2, 2, values).reshape(
+                len(values), -1).any(axis=1)
+            ok &= np.array_equal(_associative(tables), closed)
+            found += int(closed.sum())
+            for i in np.flatnonzero(closed):
+                ext = build_extension(Cochain(group, 2, 2, values[i]))
+                ok &= np.array_equal(ext.table, tables[i])
+        ok &= found == cocycles
+        # a seeded sample of non-cocycles is rejected with a triple
+        rng = generator(2, stream=m)
+        rejected = 0
+        while rejected < 64:
+            c = random_cochain(group, 2, 2, rng)
+            if delta(c).is_zero:
+                continue
             try:
-                ext = build_extension(c)
-                built = True
-                ok &= ext.order == 2 * m
-            except CocycleError:
-                built = False
-            ok &= built == is_cocycle
-    _verdict(2, "build_extension succeeds iff delta(c) = 0 (2^4 and 2^16)", ok)
+                build_extension(c)
+                ok = False
+            except CocycleError as err:
+                ok &= delta(c).values[err.triple] != 0
+            rejected += 1
+    _verdict(2, "associative iff delta(c) = 0 (all 2^4, 2^16)", ok)
 
 
 def test_criterion_03_classification_concordance():

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -202,6 +203,56 @@ def test_extend_checks_cocycle_condition_once(files, tmp_path, monkeypatch):
     assert len(calls) == 2
     triple = json.loads(out.read_text())["payload"]["violating_triple"]
     assert tuple(triple) == cochains.violating_triple(calls[1])
+
+
+def test_h2_checks_cocycle_condition_once(files, monkeypatch):
+    # z2_full_delta applies the full delta to every representative, and
+    # the extension tables are built from those without a second pass
+    calls, seen = [], []
+    real_stack = cochains.delta_stack
+
+    def counted(cochain):
+        calls.append(cochain)
+        return cochains.violating_triple(cochain)
+
+    def recording(group, n, p, values):
+        values = np.asarray(values)
+        if p == 2:
+            seen.extend(v.tobytes() for v in values.reshape(-1, group.order**2))
+        return real_stack(group, n, p, values)
+
+    for module in (cli, extensions):
+        if hasattr(module, "violating_triple"):
+            monkeypatch.setattr(module, "violating_triple", counted)
+    monkeypatch.setattr(cochains, "delta_stack", recording)
+    monkeypatch.setattr(cli, "delta_stack", recording)
+    h2 = cohomology.second_cohomology(dihedral(8), 2)
+    seen.clear()
+    assert main(["h2", "--group", files["d8"], "--modulus", "2"]) == 0
+    assert calls == []
+    # one pass over each Z^2 generator and each representative, no more
+    expected = h2.z2_generators + h2.representatives
+    assert Counter(seen) == Counter(c.values.tobytes() for c in expected)
+
+
+def test_counts_consistent_decides_in_the_report(files, tmp_path,
+                                                  monkeypatch):
+    # a wrong |B^2| reaches the report row instead of escaping main; the
+    # oracle is infeasible on D8 (2^256 cochains), so no other row sees it
+    real = cohomology._coboundary_space
+
+    def doubled(group, n, A):
+        space = real(group, n, A)
+        space.size *= 2
+        return space
+
+    monkeypatch.setattr(cohomology, "_coboundary_space", doubled)
+    out = tmp_path / "d8.json"
+    assert main(["h2", "--group", files["d8"], "--modulus", "2",
+                 "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert {c["name"] for c in report["checks"] if not c["passed"]} \
+        == {"counts_consistent"}
 
 
 def test_extend_modulus_cross_check(files):

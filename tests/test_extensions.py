@@ -6,8 +6,9 @@ from centrex.cohomology import cocycle_space, cohomologous, second_cohomology
 from centrex.errors import CocycleError
 from centrex.extensions import (build_extension, extension_fingerprint,
                                 is_table_isomorphism, pair_isomorphism)
-from centrex.groups import (cyclic, dihedral, fingerprint, klein_four,
-                            quaternion8, symmetric3, table_fingerprint)
+from centrex.groups import (catalog, cyclic, dihedral, fingerprint,
+                            klein_four, quaternion8, symmetric3,
+                            table_fingerprint)
 from centrex.rng import generator
 
 Z2 = cyclic(2)
@@ -121,3 +122,42 @@ def test_relabeled_finite_group_view():
     g = ext.to_finite_group()
     assert g.order == 4
     assert fingerprint(g) == table_fingerprint(ext.table, ext.identity)
+
+
+def _assert_group_axioms(ext):
+    """Brute force over the whole table: each group axiom that
+    ExtensionGroup derives from delta(c) = 0 instead of checking it."""
+    t, k = ext.table, ext.order
+    n, m, e = ext.modulus, ext.base.order, ext.identity
+    x = np.arange(k)
+    # Latin square, entries in range
+    assert (np.sort(t, axis=1) == x).all()
+    assert (np.sort(t, axis=0) == x[:, None]).all()
+    # identity neutral, inverse two-sided
+    assert (t[e] == x).all() and (t[:, e] == x).all()
+    assert (t[x, ext.inverse] == e).all() and (t[ext.inverse, x] == e).all()
+    # (xy)z = x(yz) over all k^3 triples
+    assert (t[t[:, :, None], x] == t[x[:, None, None], t[None, :, :]]).all()
+    # projection (a, g) -> g is a homomorphism onto the base table
+    assert (t % m == ext.base.table[np.ix_(x % m, x % m)]).all()
+    # kernel {(a, e)} is central and cyclic of order n
+    kernel = x[x % m == 0]
+    assert kernel.size == n and (t[kernel] == t[:, kernel].T).all()
+    cyclic_kernel = False
+    for z in kernel:
+        powers, p = [e], t[e, z]
+        while p != e:
+            powers.append(p)
+            p = t[p, z]
+        cyclic_kernel |= sorted(powers) == kernel.tolist()
+    assert cyclic_kernel
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name in catalog()
+                                    for n in (2, 3, 4)] + [("D8", 2)])
+def test_extension_tables_are_groups(name, n):
+    group = dihedral(8) if name == "D8" else catalog()[name]
+    for rep in second_cohomology(group, n).representatives:
+        for shift in range(n):  # unnormalized: c + a constant
+            c = Cochain(group, n, 2, rep.values + shift)
+            _assert_group_axioms(build_extension(c))

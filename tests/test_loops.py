@@ -191,6 +191,19 @@ def test_empty_matrices_rejected():
     _rejected(lambda: parse_loop("0 16\n"))
 
 
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+def test_non_finite_scalars_rejected(fill):
+    g = random_smooth_loop(3, 2, 16, 2)
+    x = random_smooth_tangent(3, 2, 16, 2)
+    _rejected(lambda: fill * x)
+    _rejected(lambda: x * fill)
+    _rejected(lambda: np.array([1.0, fill]) * x)
+    _rejected(lambda: displace(g, x, fill))
+    # the stacked displacement rejects one bad step among good ones
+    stack = LoopTangent(np.stack((x.samples, x.samples)))
+    _rejected(lambda: displace(g, stack, np.array([0.5, fill])))
+
 _LOOP_TOKENS = st.one_of(
     st.integers(-3, 6), st.integers(-2**70, 2**70),
     st.floats(allow_nan=True, allow_infinity=True),
