@@ -13,7 +13,8 @@ Subcommands:
   bilinearity, delta alpha, delta R vs d alpha, closedness, pushforward
   cross-check, resolution doubling, left invariance).
 * ``period``: integrate R over the SU(2) generator family at the given
-  and doubled grid resolutions and check integrality.
+  and doubled grid resolutions, check integrality, and check the Gram
+  quadrature on one row against full evaluation of R.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage or input
 error, 3 capacity guard exceeded.
@@ -34,7 +35,7 @@ from .errors import CapacityError, CocycleError
 from .extensions import ExtensionGroup, build_extension
 from .groups import load_group, table_fingerprint
 from .report import build_report, file_digest, human_summary, write_report
-from .verify import CheckResult, run_gamma_battery, run_period_check
+from .verify import CheckResult, run_gamma_battery, run_period_checks
 
 # delta entries per stacked call of the Z^2 certificate (8 MiB of int64)
 _CERTIFICATE_ENTRIES = 2**20
@@ -238,8 +239,8 @@ def _cmd_period(args):
     if args.dim != 2:
         raise ValueError("the generator family lives in SU(2); --dim must be 2")
     grid = _parse_grid(args.grid)
-    results, check = run_period_check(grid=grid, samples=args.samples,
-                                      degenerate=args.degenerate)
+    results, checks = run_period_checks(grid=grid, samples=args.samples,
+                                        degenerate=args.degenerate)
     params = {
         "dim": args.dim, "samples": args.samples,
         "grid": "%dx%d" % grid, "degenerate": bool(args.degenerate),
@@ -250,7 +251,7 @@ def _cmd_period(args):
                       "the bundle curvature is 2*pi*i*R, so integrality "
                       "means the reported period is an integer",
     }
-    return build_report("period", params, [check], payload)
+    return build_report("period", params, checks, payload)
 
 
 def _parse_grid(text):

@@ -11,7 +11,9 @@ left invariance (in the first factor, for alpha), enforced here by the
 interfaces simply not taking the absent arguments.  The simplicial
 coboundary on forms is the alternating sum of pullbacks along the face
 maps of the group's nerve, and the exterior derivative is evaluated by
-second-order central differences through exponential charts.
+second-order central differences through exponential charts.  The chart
+tangents are left-trivialized, so the base loop of a chart cancels from
+them and is never multiplied in (_chart_tangents).
 
 Every evaluation accepts loops and tangents stacked along leading axes
 (see loops.py) and then returns one value per stack entry, as an array;
@@ -101,13 +103,14 @@ def _check_step(h):
         raise ValueError("step %.3e outside [%g, %g]" % (h, STEP_MIN, STEP_MAX))
 
 
-def _chart_tangents(base, field, directions, h):
-    """Central-difference tangents of t -> base exp(field + t D), one per
+def _chart_tangents(field, directions, h):
+    """Central-difference tangents of t -> g exp(field + t D), one per
     direction D, left-trivialized at t = 0 and projected back onto su(n).
 
-    ``base`` is a sample array that may carry more leading axes than the
-    fields (several base loops sharing one chart).  All exponentials come
-    from one exp_stack call, exp(field) once for every direction.
+    The base loop g cancels: (g exp(F))^-1 d/dt g exp(F + tD) =
+    exp(F)^-1 d/dt exp(F + tD), so no g is taken and none is multiplied
+    in.  All exponentials come from one exp_stack call, exp(field) once
+    for every direction.
     """
     charts = np.empty((1 + 2 * len(directions),) + field.shape,
                       dtype=np.complex128)
@@ -116,9 +119,9 @@ def _chart_tangents(base, field, directions, h):
         charts[2 * k + 1] = field + h * d
         charts[2 * k + 2] = field - h * d
     exps = exp_stack(charts)
-    u0_inv = _dagger(base @ exps[0])
+    u0_inv = _dagger(exps[0])
     return [LoopTangent._trusted(project_algebra(
-        u0_inv @ (base @ exps[2 * k + 1] - base @ exps[2 * k + 2]) / (2.0 * h)))
+        u0_inv @ (exps[2 * k + 1] - exps[2 * k + 2]) / (2.0 * h)))
         for k in range(len(directions))]
 
 
@@ -129,16 +132,17 @@ def d_alpha_numeric(point, xi, eta, h=1e-3, alpha_sign=1.0):
         d(sigma* alpha)(d_s, d_t) = d_s[alpha(d_t sigma)] - d_t[alpha(d_s sigma)]
 
     with every derivative a second-order central difference; total error O(h^2).
+    g1 drops out: alpha does not read the first factor, and the chart
+    tangent of s -> g1 exp(F + sD) does not depend on g1 (_chart_tangents).
     """
     _check_step(h)
-    g1, g2 = point
+    _, g2 = point
     (x1, x2), (y1, y2) = xi, eta
 
     def alpha_along(move1, move2, direction, s):
         # alpha of the coordinate line along `direction`, taken at the
         # point moved by s along (move1, move2)
-        (tan,) = _chart_tangents(g1.samples, s * move1.samples,
-                                 (direction.samples,), h)
+        (tan,) = _chart_tangents(s * move1.samples, (direction.samples,), h)
         base2 = DiscreteLoop._trusted(
             g2.samples @ exp_stack(s * move2.samples))
         return alpha_sign * eval_alpha(base2, tan)
@@ -156,14 +160,15 @@ def d_R_numeric(loop, x, y, z, h=1e-3):
         dR(d1, d2, d3) = d1[R(d2, d3)] - d2[R(d1, d3)] + d3[R(d1, d2)]
 
     (coordinate fields commute, so there are no bracket terms); the result
-    is the closedness residual, O(h^2) away from zero.
+    is the closedness residual, O(h^2) away from zero.  The loop g drops
+    out: R is left invariant and so are the chart tangents
+    (_chart_tangents), so the residual is the same at every g.
     """
     _check_step(h)
     fields = (x.samples, y.samples, z.samples)
 
     def pair_value(axis, s, i, j):
-        ti, tj = _chart_tangents(loop.samples, s * fields[axis],
-                                 (fields[i], fields[j]), h)
+        ti, tj = _chart_tangents(s * fields[axis], (fields[i], fields[j]), h)
         return eval_R(ti, tj)
 
     total = 0.0
@@ -187,12 +192,15 @@ def left_invariance_check(k, g1, g2, x1):
 
 def left_invariance_fd_residual(k, g1, g2, x1, h=1e-3):
     """Chart-level cross-check of left invariance: extract the tangent of
-    t -> g exp(tX1) by central differences at g1 and at k g1, and compare
-    the alpha pairings.  Algebraically identical; only float noise from
-    the extra multiplication survives."""
+    t -> g exp(tX1) by central differences at g = g1 and at g = k g1, and
+    compare the alpha pairings.  Algebraically identical; only float
+    noise from the extra multiplication survives.  The difference is
+    formed here with g multiplied in, since translating g is the point
+    (_chart_tangents drops g, which cancels)."""
     _check_step(h)
     bases = np.stack((g1.samples, k.multiply(g1).samples))
-    (tan,) = _chart_tangents(bases, np.zeros_like(x1.samples),
-                             (x1.samples,), h)
+    plus, minus = exp_stack(np.stack((h * x1.samples, -h * x1.samples)))
+    tan = LoopTangent._trusted(project_algebra(
+        _dagger(bases) @ (bases @ plus - bases @ minus) / (2.0 * h)))
     here, there = eval_alpha(g2, tan)
     return _as_result(abs(here - there))

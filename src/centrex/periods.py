@@ -17,6 +17,18 @@ the parameter rectangle, Simpson in u and periodic trapezoid in phi.
 R itself carries the 1/(4 pi^2) normalization, under which the periods of
 R land on integers: the corresponding bundle curvature is 2 pi i R, whose
 periods then lie in 2 pi i Z.
+
+Both tangents are sums p_1(theta) C_1 + p_2(theta) C_2 of the same two
+theta profiles p_1 = sin cos and p_2 = sin^2 times constant su(2)
+coefficient blocks C_a.  The discrete R is bilinear, so at every node
+
+    R(X_u, X_phi) = sum_ab G_ab <A_a, B_b>
+
+with A, B the blocks of X_u, X_phi and G the 2 x 2 Gram matrix of the
+profiles under the discrete R (spectral derivative, trapezoid rule,
+1/(4 pi^2)), computed once per family.  The quadrature pairs coefficient
+blocks only; one row per grid is also summed by full eval_R on sampled
+tangents as a cross-check (equator_rows, reported as period_gram_row).
 """
 
 from __future__ import annotations
@@ -25,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import eval_R
-from .loops import (DiscreteLoop, LoopTangent, _check_grid, constant_loop,
-                    theta_grid)
-from .su import _dagger, project_algebra
+from .forms import FOUR_PI_SQUARED, eval_R
+from .loops import (DiscreteLoop, LoopTangent, _check_grid, circle_integral,
+                    constant_loop, spectral_derivative, theta_grid)
+from .su import _dagger, killing_form_samples, project_algebra
 
 PAULI = np.array([
     [[0, 1], [1, 0]],
@@ -48,6 +60,24 @@ def _dot_sigma(vec):
 def _vectors(x, y, z):
     """Stack three broadcast components into (..., 3) real 3-vectors."""
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
+def _profiles(num_samples):
+    """The two theta profiles (sin cos, sin^2) as an (N, 2) array."""
+    theta = theta_grid(num_samples)
+    return np.stack([np.sin(theta) * np.cos(theta), np.sin(theta) ** 2],
+                    axis=-1)
+
+
+def profile_gram(num_samples):
+    """G[a, b] = R(p_a, p_b) for the scalar theta profiles: the discrete
+    eval_R (spectral derivative of the second slot, trapezoid rule,
+    1/(4 pi^2)) with the Killing pairing of the matrix parts left out.
+    Antisymmetric up to round-off, like R."""
+    profiles = _profiles(num_samples).T
+    slope = spectral_derivative(profiles[:, :, None, None])[..., 0, 0].real
+    return circle_integral(profiles[:, None, :] * slope[None, :, :]) \
+        / FOUR_PI_SQUARED
 
 
 def _nu(u, phi):
@@ -104,28 +134,32 @@ class SphereFamily:
                    + 1j * np.sin(theta)[:, None, None] * nu_sigma)
         return DiscreteLoop._trusted(samples)
 
-    def tangents_at(self, u, phi):
-        """Left-trivialized (d_u, d_phi) tangent fields, analytic.  An
-        array of phi gives tangents stacked along its shape."""
-        n_samp = self.num_samples
+    def coefficient_blocks(self, u, phi):
+        """su(2) coefficient blocks of the (d_u, d_phi) tangents: two
+        (..., 2, 2, 2) arrays whose entry [..., a, :, :] multiplies the
+        theta profile p_a (see _profiles).  An array of phi gives blocks
+        stacked along its shape; the degenerate family has zero blocks."""
         phi = np.asarray(phi, dtype=np.float64)
-        shape = phi.shape + (n_samp, 2, 2)
         if self.degenerate:
-            zero = np.zeros(shape, dtype=np.complex128)
-            return LoopTangent._trusted(zero), LoopTangent._trusted(zero)
-        theta = theta_grid(n_samp)
-        # X = (sin cos) i(dnu . sigma) + (sin^2) i((nu x dnu) . sigma): the
-        # two theta profiles times one 2 x 4 coefficient block per phi
-        profiles = np.stack([np.sin(theta) * np.cos(theta),
-                             np.sin(theta) ** 2], axis=-1)
+            zero = np.zeros(phi.shape + (2, 2, 2), dtype=np.complex128)
+            return zero, zero
         nu = _nu(u, phi)
         out = []
         for dnu, scale in ((_nu_du(u, phi), 1.0),
                            (_nu_dphi(u, phi), float(self.orientation))):
             vectors = scale * np.stack([dnu, np.cross(nu, dnu)], axis=-2)
-            out.append(LoopTangent._trusted(
-                (profiles @ (vectors @ _I_SIGMA)).reshape(shape)))
+            out.append((vectors @ _I_SIGMA).reshape(phi.shape + (2, 2, 2)))
         return out[0], out[1]
+
+    def tangents_at(self, u, phi):
+        """Left-trivialized (d_u, d_phi) tangent fields, analytic.  An
+        array of phi gives tangents stacked along its shape."""
+        profiles = _profiles(self.num_samples)
+        stack = np.shape(phi)
+        return tuple(LoopTangent._trusted(
+            (profiles @ block.reshape(stack + (2, 4))).reshape(
+                stack + (self.num_samples, 2, 2)))
+            for block in self.coefficient_blocks(u, phi))
 
     def fd_tangents_at(self, u, phi, h=1e-6):
         """Central-difference alternative to the analytic tangents."""
@@ -147,22 +181,47 @@ def _simpson_weights(intervals):
     return w / 3.0
 
 
+def _gram_row(family, i, gram):
+    """R(X_u, X_phi) at every node of u-row i: the Killing pairings
+    <A_a, B_b> of the coefficient blocks, contracted with the Gram matrix."""
+    u, phi = family.node(i, np.arange(family.grid_phi))
+    a, b = family.coefficient_blocks(u, phi)
+    pairs = killing_form_samples(a[:, :, None], b[:, None, :])
+    return (pairs * gram).sum(axis=(-2, -1))
+
+
 def sphere_period(family):
     """Quadrature of R over the family's parameter rectangle.
 
     Returns the raw real period; integrality means this is (close to) an
     integer, the pairing of the 2 pi i-normalized bundle curvature with
-    the cycle divided by 2 pi i.  Each u-row of the grid is evaluated as
-    one stack of tangents, so only one row is held at a time.
+    the cycle divided by 2 pi i.
+
+    Each node value is sum_ab G_ab <A_a, B_b> (module docstring), with
+    G from profile_gram once per family, so the cost is grid_u * grid_phi
+    block pairings and no tangent is sampled.  The grid is paired one
+    u-row of coefficient blocks at a time.  equator_rows checks one row
+    against full eval_R.
     """
     nu_grid, nphi = family.grid_u, family.grid_phi
     du = np.pi / nu_grid
     dphi = 2.0 * np.pi / nphi
     w_u = _simpson_weights(nu_grid) * du
-    columns = np.arange(nphi)
+    gram = profile_gram(family.num_samples)
     total = 0.0
     for i in range(nu_grid + 1):
-        u, phi = family.node(i, columns)
-        row = eval_R(*family.tangents_at(u, phi)).sum()
+        row = _gram_row(family, i, gram).sum()
         total += w_u[i] * row * dphi
     return float(total)
+
+
+def equator_rows(family):
+    """The equator row (i = grid_u / 2) summed two ways: through the Gram
+    matrix as in sphere_period, and by full eval_R on tangents_at, which
+    samples every tangent and differentiates it spectrally.  Returns
+    (gram_sum, full_sum); they agree up to round-off."""
+    i = family.grid_u // 2
+    u, phi = family.node(i, np.arange(family.grid_phi))
+    gram_sum = _gram_row(family, i, profile_gram(family.num_samples)).sum()
+    full_sum = eval_R(*family.tangents_at(u, phi)).sum()
+    return float(gram_sum), float(full_sum)

@@ -3,8 +3,8 @@
 Each check aggregates the worst residual over the trial count and
 compares it against a fixed tolerance derived from the discretization
 error models (spectral in theta, O(h^2) central differences in the
-chart parameters).  Every report row carries both the residual and the
-tolerance it was judged against.
+chart parameters, O(h^4) for the pushforward cross-check).  Every report
+row carries both the residual and the tolerance it was judged against.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .forms import (_check_step, d_R_numeric, d_alpha_numeric, delta_form_R,
                     left_invariance_check, left_invariance_fd_residual)
 from .loops import (_as_result, _check_synthesis, displace, random_smooth_loop,
                     random_smooth_tangent)
-from .periods import SphereFamily, sphere_period
+from .periods import SphereFamily, equator_rows, sphere_period
 from .rng import generator
 from .su import _dagger, project_algebra
 
@@ -29,7 +29,7 @@ DEFAULT_TOLERANCES = {
     "delta_alpha": 1e-9,
     "delta_R_vs_d_alpha": 5e-5,      # relative: |deltaR - dalpha| / (1 + |deltaR|)
     "closedness": 1e-5,
-    "pushforward_merge": 1e-7,       # FD cross-check step fixed at 1e-4
+    "pushforward_merge": 1e-7,       # 4th-order FD cross-check, step 1e-4
     "resolution_doubling": 1e-10,
     "left_invariance": 0.0,
     "left_invariance_fd": 1e-9,
@@ -38,13 +38,17 @@ DEFAULT_TOLERANCES = {
 PUSHFORWARD_STEP = 1e-4
 PERIOD_TOLERANCE = 1e-3
 DEGENERATE_PERIOD_TOLERANCE = 1e-9
+GRAM_ROW_TOLERANCE = 1e-12           # relative: |gram - full| / (1 + |full|)
 
 # Capacity guards, set from the measured cost of the batched code (README).
 # The battery costs about trials * samples * dim^2 * (modes + 256) units:
 # the charts cost per sample about as much as 256 synthesis modes.  The
-# period costs about grid_u * grid_phi * samples units at the requested
-# grid (its doubling included), and holds one u-row of the doubled grid,
-# 2 * grid_phi * samples matrices, at a time.
+# period costs grid_u * grid_phi coefficient-block pairings per grid (the
+# doubled grid has four times as many), independent of samples, plus one
+# full eval_R row per grid, whose doubled-grid row holds
+# 2 * grid_phi * samples matrices.  With samples >= 16 the work guard
+# caps the pairings at 2^19 (2^21 doubled) and the row guard caps that
+# row; both now admit far less than a 45 s budget (README).
 BATTERY_MODE_OFFSET = 256
 MAX_BATTERY_WORK = 2**27
 MAX_PERIOD_WORK = 2**23
@@ -189,14 +193,18 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
 
 def pushforward_fd_residual(g1, g2, x1, x2, h=PUSHFORWARD_STEP):
     """Merge-face tangent formula vs direct differentiation of the
-    product curve t -> g1 exp(tX1) g2 exp(tX2); the worst sample of each
-    stack entry."""
+    product curve P(t) = g1 exp(tX1) g2 exp(tX2) by the fourth-order
+    stencil (8(P(h) - P(-h)) - (P(2h) - P(-2h))) / 12h; the worst sample
+    of each stack entry."""
     (_,), (tan,) = face_pushforward(1, (g1, g2), (x1, x2))
-    plus = displace(g1, x1, h).multiply(displace(g2, x2, h))
-    minus = displace(g1, x1, -h).multiply(displace(g2, x2, -h))
+
+    def product(t):
+        return displace(g1, x1, t).multiply(displace(g2, x2, t)).samples
+
+    slope = (8.0 * (product(h) - product(-h))
+             - (product(2.0 * h) - product(-2.0 * h))) / (12.0 * h)
     base = g1.multiply(g2)
-    fd = project_algebra(
-        _dagger(base.samples) @ (plus.samples - minus.samples) / (2.0 * h))
+    fd = project_algebra(_dagger(base.samples) @ slope)
     return _as_result(np.abs(fd - tan.samples).max(axis=(-3, -2, -1)))
 
 
@@ -213,21 +221,36 @@ def doubling_residual(x, y, g, seed, modes, streams):
 
 def full_gamma_report(dim=2, samples=128, modes=3, trials=100, seed=0,
                       step=1e-3, grid=(32, 32)):
-    """Battery plus period in one report; the period slot only makes
+    """Battery plus period in one report; the period slots only make
     sense for dim = 2, where the generator family lives."""
     report = run_gamma_battery(dim=dim, samples=samples, modes=modes,
                                trials=trials, seed=seed, step=step)
     if dim == 2:
-        _, check = run_period_check(grid=grid, samples=samples)
-        report.checks.append(check)
+        _, checks = run_period_checks(grid=grid, samples=samples)
+        report.checks.extend(checks)
     return report
 
 
 def run_period_check(grid=(64, 64), samples=128, degenerate=False,
                      orientation=1, tolerance=PERIOD_TOLERANCE):
+    """(results, integrality check) of run_period_checks."""
+    results, checks = run_period_checks(grid=grid, samples=samples,
+                                        degenerate=degenerate,
+                                        orientation=orientation,
+                                        tolerance=tolerance)
+    return results, checks[0]
+
+
+def run_period_checks(grid=(64, 64), samples=128, degenerate=False,
+                      orientation=1, tolerance=PERIOD_TOLERANCE):
     """Period of R over the generator family at the given and the doubled
     grid resolutions; integrality asks the raw period to sit within
-    tolerance of one nonzero integer at both."""
+    tolerance of one nonzero integer at both.
+
+    Returns (results, [integrality, gram row]).  The second check compares,
+    at both grids, the equator row of the Gram-matrix quadrature with the
+    same row summed by full eval_R (periods.equator_rows); its residual is
+    |gram - full| / (1 + |full|)."""
     families = [SphereFamily(grid_u=grid[0] * factor,
                              grid_phi=grid[1] * factor,
                              num_samples=samples,
@@ -236,6 +259,7 @@ def run_period_check(grid=(64, 64), samples=128, degenerate=False,
                 for factor in (1, 2)]
     check_period_capacity(grid[0], grid[1], samples)
     results = []
+    gram_residual = 0.0
     for family in families:
         period = sphere_period(family)
         nearest = int(round(period))
@@ -246,6 +270,9 @@ def run_period_check(grid=(64, 64), samples=128, degenerate=False,
             "nearest_integer": nearest,
             "deviation": abs(period - nearest),
         })
+        gram, full = equator_rows(family)
+        gram_residual = max(gram_residual,
+                            abs(gram - full) / (1.0 + abs(full)))
     if degenerate:
         passed = all(abs(r["period"]) <= DEGENERATE_PERIOD_TOLERANCE
                      for r in results)
@@ -256,6 +283,11 @@ def run_period_check(grid=(64, 64), samples=128, degenerate=False,
         nonzero = results[0]["nearest_integer"] != 0
         residual = max(r["deviation"] for r in results)
         passed = bool(same and nonzero and residual <= tolerance)
-    check = CheckResult(name="period_integrality", residual=float(residual),
-                        tolerance=tolerance, passed=passed, trials=2)
-    return results, check
+    checks = [
+        CheckResult(name="period_integrality", residual=float(residual),
+                    tolerance=tolerance, passed=passed, trials=2),
+        CheckResult(name="period_gram_row", residual=gram_residual,
+                    tolerance=GRAM_ROW_TOLERANCE,
+                    passed=gram_residual <= GRAM_ROW_TOLERANCE, trials=2),
+    ]
+    return results, checks

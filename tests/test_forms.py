@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from centrex.forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
-                           delta_form_alpha, eval_R, eval_alpha,
+from centrex.forms import (_chart_tangents, d_R_numeric, d_alpha_numeric,
+                           delta_form_R, delta_form_alpha, eval_R, eval_alpha,
                            face_pushforward, left_invariance_check,
                            left_invariance_fd_residual)
-from centrex.loops import (DiscreteLoop, LoopTangent, constant_loop, displace,
-                           random_smooth_loop, random_smooth_tangent,
-                           theta_grid, zero_tangent)
+from centrex.loops import (DiscreteLoop, LoopTangent, _as_result,
+                           constant_loop, displace, random_smooth_loop,
+                           random_smooth_tangent, theta_grid, zero_tangent)
 from centrex.su import exp_stack, project_algebra
-from centrex.verify import pushforward_fd_residual
+from centrex.verify import _streams, pushforward_fd_residual
 
 H = np.array([[1j, 0], [0, -1j]])
 N = 128
@@ -243,3 +243,61 @@ def test_stacked_forms_match_unstacked_calls():
             for many, one in zip(stacked, single):
                 assert many.shape == (3,) and type(one) is float
                 assert abs(many[t] - one) <= 1e-15
+
+
+def _chart_tangents_with_base(base, field, directions, h):
+    # the chart tangents with the base loop multiplied into every
+    # exponential, as (g exp(F))^-1 (g exp(F + hD) - g exp(F - hD)) / 2h
+    exps = exp_stack(np.stack([field] + [field + s * h * d for d in directions
+                                         for s in (1.0, -1.0)]))
+    u0_inv = np.conjugate(np.swapaxes(base @ exps[0], -1, -2))
+    return [project_algebra(u0_inv @ (base @ exps[2 * k + 1]
+                                      - base @ exps[2 * k + 2]) / (2.0 * h))
+            for k in range(len(directions))]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_chart_tangents_do_not_depend_on_the_base_loop(dim):
+    g = _loop(67, 0, dim=dim)
+    assert np.abs(g.samples - np.eye(dim)).max() > 0.1
+    field = _tan(67, 1, dim=dim).samples
+    directions = tuple(_tan(67, 2 + k, dim=dim).samples for k in range(2))
+    for h in (1e-3, 1e-4):
+        got = _chart_tangents(field, directions, h)
+        want = _chart_tangents_with_base(g.samples, field, directions, h)
+        for a, b in zip(got, want):
+            assert np.abs(a.samples - b).max() <= 1e-12
+
+
+def _left_invariance_fd_with_charts(k, g1, g2, x1, h=1e-3):
+    # the chart formula at g1 and k g1, exp(0) included
+    bases = np.stack((g1.samples, k.multiply(g1).samples))
+    (tan,) = _chart_tangents_with_base(bases, np.zeros_like(x1.samples),
+                                       (x1.samples,), h)
+    here, there = eval_alpha(g2, LoopTangent(tan))
+    return _as_result(abs(here - there))
+
+
+def test_left_invariance_fd_matches_the_chart_formula_exactly():
+    fixtures = [(_loop(59, 0), _loop(59, 1), _loop(59, 2), _tan(59, 3))]
+    for dim in (2, 3):
+        g = [random_smooth_loop(61, dim, 64, 3,
+                                stream=[10 * k + t for t in range(3)])
+             for k in range(3)]
+        x = random_smooth_tangent(61, dim, 64, 3, stream=[5, 6, 7])
+        fixtures.append((g[2], g[0], g[1], x))
+    for k, g1, g2, x1 in fixtures:
+        got = left_invariance_fd_residual(k, g1, g2, x1)
+        want = _left_invariance_fd_with_charts(k, g1, g2, x1)
+        assert np.array_equal(got, want)
+
+
+def test_pushforward_fourth_order_at_dim_eight():
+    # a stack of 8 dim-8 battery trials (N = 128, modes 3): the
+    # second-order stencil reads about 1e-7 here
+    s = _streams(np.arange(8))
+    g1, g2 = (random_smooth_loop(0, 8, 128, 3, stream=s[k])
+              for k in ("g1", "g2"))
+    x1, x2 = (random_smooth_tangent(0, 8, 128, 3, stream=s[k])
+              for k in ("x1", "x2"))
+    assert pushforward_fd_residual(g1, g2, x1, x2).max() <= 1e-9

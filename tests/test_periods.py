@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from centrex import forms, periods, verify
 from centrex.forms import eval_R
+from centrex.loops import theta_grid
 from centrex.periods import SphereFamily, sphere_period
 from centrex.su import assert_algebra
-from centrex.verify import run_period_check
+from centrex.verify import run_period_check, run_period_checks
 
 
 def test_family_loops_are_valid_and_based():
@@ -110,3 +112,64 @@ def test_run_period_check_pass_and_degenerate():
     assert results[1]["grid_u"] == 32
     _, degenerate = run_period_check(grid=(8, 8), samples=32, degenerate=True)
     assert degenerate.passed
+
+
+def _count_calls(monkeypatch):
+    """Count SphereFamily.tangents_at and eval_R calls (every binding)."""
+    calls = {"tangents_at": 0, "eval_R": 0}
+    tangents_at = SphereFamily.tangents_at
+
+    def counted_tangents(self, u, phi):
+        calls["tangents_at"] += 1
+        return tangents_at(self, u, phi)
+
+    def counted_eval_R(x, y):
+        calls["eval_R"] += 1
+        return eval_R(x, y)
+
+    monkeypatch.setattr(SphereFamily, "tangents_at", counted_tangents)
+    for module in (forms, periods, verify):
+        monkeypatch.setattr(module, "eval_R", counted_eval_R)
+    return calls
+
+
+def test_period_samples_one_tangent_row_per_grid(monkeypatch):
+    # the Gram quadrature samples no tangent; the cross-check row takes
+    # one tangents_at and one eval_R call at each of the two grids
+    calls = _count_calls(monkeypatch)
+    results, check = run_period_check(grid=(64, 64))
+    assert check.passed and results[0]["nearest_integer"] == -2
+    assert calls["tangents_at"] <= 2 and calls["eval_R"] <= 2
+
+
+def test_gram_row_check_passes_at_both_grids():
+    for orientation in (1, -1):
+        _, checks = run_period_checks(grid=(16, 16), samples=64,
+                                      orientation=orientation)
+        assert [c.name for c in checks] == ["period_integrality",
+                                            "period_gram_row"]
+        assert all(c.passed for c in checks)
+        assert checks[1].residual <= 1e-12
+
+
+def test_gram_row_check_catches_a_transposed_gram(monkeypatch):
+    # G is antisymmetric, so G^T negates every node: the period becomes +2,
+    # still an integer, and only the full-eval_R row disagrees
+    gram = periods.profile_gram
+    monkeypatch.setattr(periods, "profile_gram", lambda n: gram(n).T)
+    results, (integrality, gram_row) = run_period_checks(grid=(16, 16),
+                                                         samples=64)
+    assert results[0]["nearest_integer"] == 2 and integrality.passed
+    assert not gram_row.passed and gram_row.residual > 0.1
+
+
+@pytest.mark.parametrize("winding", [1, 2, 3])
+def test_winding_family_period_is_minus_two_k(monkeypatch, winding):
+    # theta -> k theta wraps every loop k times: the period is -2k, and the
+    # Gram path must see the k in the profile derivative like eval_R does
+    monkeypatch.setattr(periods, "theta_grid",
+                        lambda n: winding * theta_grid(n))
+    family = SphereFamily(32, 32, 64)
+    assert sphere_period(family) == pytest.approx(-2.0 * winding, abs=1e-5)
+    gram, full = periods.equator_rows(family)
+    assert abs(gram - full) <= 1e-12 * (1.0 + abs(full))
