@@ -147,7 +147,7 @@ def _cmd_h2(args, command):
         else:
             fp = None
         classes.append({
-            "cocycle": [int(v) for v in rep.values.reshape(-1)],
+            "cocycle": rep.values.reshape(-1).tolist(),
             "fingerprint": fp,
         })
     try:
@@ -215,7 +215,7 @@ def _cmd_extend(args):
     payload = {
         "order": ext.order,
         "identity_index": ext.identity,
-        "table": [[int(v) for v in row] for row in ext.table],
+        "table": ext.table.tolist(),
         "fingerprint": _fingerprint_dict(fp),
     }
     return build_report("extend", params, checks, payload, inputs)

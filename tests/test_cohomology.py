@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,78 @@ def test_solve_mod_roundtrip_and_unsolvable():
     assert solve_mod(np.array([[2]]), np.array([1]), 4) is None
 
 
+def _filtered_cocycles(group, n):
+    """Reference oracle: filter every one of the n^(m^2) cochains through
+    the dense m^3 x m^2 matrix of delta^2."""
+    candidates = cohomology.all_cochain_values(group, n, 2)
+    residual = np.mod(candidates @ delta_matrix(group, 2).T, n)
+    return candidates[~residual.any(axis=1)]
+
+
+# every catalog pair the oracle admits; at n = 2, -x = x would hide a
+# dropped negation of the right half's residual.  On these groups the left
+# half residuals are pairwise distinct; on the trivial group the right
+# half is empty and all n left halves share the zero residual
+@pytest.mark.parametrize("group, n", [
+    (Z2, 2), (Z2, 3), (Z2, 4), (Z2, 8), (Z3, 2), (Z3, 3), (Z3, 4),
+    (cyclic(4), 2), (V4, 2), (cyclic(1), 3),
+], ids=["Z2-n2", "Z2-n3", "Z2-n4", "Z2-n8", "Z3-n2", "Z3-n3", "Z3-n4",
+        "Z4-n2", "Z2xZ2-n2", "Z1-n3"])
+def test_meet_in_the_middle_matches_filter(group, n):
+    got = exhaustive_cocycles(group, n)
+    ref = _filtered_cocycles(group, n)
+    assert got.dtype == np.int64 and got.shape == ref.shape
+    # every cocycle once: as many distinct rows as rows, and the same set
+    distinct = np.unique(got, axis=0)
+    assert len(distinct) == len(got)
+    assert np.array_equal(distinct, np.unique(ref, axis=0))
+
+
+def _peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_at_modulus_one_stays_small():
+    # n^(m^2) = 1 admits every order: the dense delta^2 of D16 alone would
+    # take 256 MiB
+    oracle, peak = _peak_mib(exhaustive_second_cohomology, dihedral(16), 1)
+    assert (oracle.z2_size, oracle.b2_size, oracle.h2_size) == (1, 1, 1)
+    assert peak < 16
+
+
+def test_oracle_peak_memory_on_z3_mod4():
+    # a filter over all 4^9 cochains traces about 126 MiB
+    oracle, peak = _peak_mib(exhaustive_second_cohomology, Z3, 4)
+    assert (oracle.z2_size, oracle.b2_size, oracle.h2_size) == (64, 64, 1)
+    assert peak < 4
+
+
+def test_oracle_admission_precedes_every_delta(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("delta_stack", "delta_matrix"):
+        monkeypatch.setattr(cohomology, name,
+                            counted(getattr(cohomology, name)))
+    with pytest.raises(CapacityError):
+        exhaustive_second_cohomology(dihedral(8), 2)
+    assert calls == []
+    # once admitted, Z^2 takes the full delta of each half and never the
+    # matrix of delta^2
+    exhaustive_cocycles(Z3, 4)
+    assert calls == ["delta_stack", "delta_stack"]
+
+
 def test_z2_mod2_space_sizes():
     zs = cocycle_space(Z2, 2)
     bs = coboundary_space(Z2, 2)
@@ -171,7 +244,7 @@ def test_cocycle_space_generators_span():
 
 
 def test_second_cohomology_matches_oracle():
-    # exhaustive enumeration is feasible up to n^(m^2) = 2^16
+    # the oracle admits n^(m^2) <= ORACLE_LIMIT = 2^20
     for group, n in ((Z2, 2), (Z3, 3), (V4, 2), (Z3, 2), (Z2, 4)):
         h2 = second_cohomology(group, n)
         oracle = exhaustive_second_cohomology(group, n)
