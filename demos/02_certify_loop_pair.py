@@ -9,7 +9,9 @@ The pair encodes a central extension when delta(R) = d(alpha),
 delta(alpha) = 0, R is closed with integral periods, and both forms are
 left invariant.  None of these identities is assumed: each one is
 evaluated on seeded random smooth loops and the residual printed next to
-the tolerance it must beat.
+the tolerance it must beat.  The exterior derivatives are exact on
+left-invariant vector fields, whose Lie bracket is the samplewise
+commutator, so d(alpha) and d(R) are closed-form circle integrals.
 """
 
 import numpy as np
@@ -54,16 +56,22 @@ residual = delta_form_alpha((g1, g2, g3), tuple(xs))
 print("\ndelta(alpha) at a random point of G^3: %.3e   (tolerance 1e-9)"
       % abs(residual))
 
+# delta(R) pulls R back along the three face maps of G x G -> G;
+# d(alpha) = xi[alpha(eta)] - eta[alpha(xi)] - alpha([xi, eta]) is three
+# circle integrals at g2 that do not go through the face maps.
 dr = delta_form_R((g1, g2), (xs[0], xs[1]), (ys[0], ys[1]))
-for h in (1e-3, 5e-4):
-    da = d_alpha_numeric((g1, g2), (xs[0], xs[1]), (ys[0], ys[1]), h=h)
-    print("delta(R) = %.10f vs d(alpha) = %.10f at h = %g  (gap %.3e)"
-          % (dr, da, h, abs(dr - da)))
-print("the gap shrinks ~4x when h halves: the agreement is O(h^2) structure,")
-print("not coincidence")
+da = d_alpha_numeric((g1, g2), (xs[0], xs[1]), (ys[0], ys[1]))
+print("delta(R) = %.15f vs d(alpha) = %.15f  (gap %.3e)"
+      % (dr, da, abs(dr - da)))
+da_neg = d_alpha_numeric((g1, g2), (xs[0], xs[1]), (ys[0], ys[1]),
+                         alpha_sign=-1.0)
+print("with alpha negated the gap is %.3e: the identity is not vacuous"
+      % abs(dr - da_neg))
 
-closed = d_R_numeric(g1, xs[0], xs[1], xs[2], h=1e-3)
-print("d(R) three-slot residual: %.3e   (tolerance 1e-5)" % abs(closed))
+# dR(X, Y, Z) = -R([X, Y], Z) + R([X, Z], Y) - R([Y, Z], X): the cocycle
+# identity of the loop-algebra 2-cocycle R
+closed = d_R_numeric(xs[0], xs[1], xs[2])
+print("d(R) three-slot residual: %.3e" % abs(closed))
 
 # ---------------------------------------------------------------------
 # 3. The full battery, as the CLI's `verify` command runs it.

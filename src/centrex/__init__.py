@@ -41,7 +41,6 @@ from .forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
                     delta_form_alpha, eval_R, eval_alpha, face_pushforward,
                     left_invariance_check)
 from .periods import SphereFamily, sphere_period
-from .verify import (GammaReport, full_gamma_report, run_gamma_battery,
-                     run_period_check, run_period_checks)
+from .verify import GammaReport, run_gamma_battery, run_period_checks
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,8 +10,9 @@ Subcommands:
 * ``extend``: build the extension defined by a cochain file, or report
   the violating triple if the cocycle condition fails.
 * ``verify``: run the seeded loop-form battery (antisymmetry,
-  bilinearity, delta alpha, delta R vs d alpha, closedness, pushforward
-  cross-check, resolution doubling, left invariance).
+  bilinearity, delta alpha, delta R vs the closed-form d alpha, closedness
+  through the closed-form d R, pushforward cross-check, resolution
+  doubling, left invariance and its chart-level cross-check).
 * ``period``: integrate R over the SU(2) generator family at the given
   and doubled grid resolutions, check integrality, and check the Gram
   quadrature on one row against full evaluation of R.
@@ -70,8 +71,6 @@ def _parser():
     p.add_argument("--modes", type=int, default=3,
                    help="Fourier modes in the synthesized inputs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-3,
-                   help="central-difference step h")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--negate-alpha", action="store_true",
                    help="test hook: flip the sign of alpha "
@@ -224,12 +223,12 @@ def _cmd_extend(args):
 def _cmd_verify(args):
     gamma = run_gamma_battery(dim=args.dim, samples=args.samples,
                               modes=args.modes, trials=args.trials,
-                              seed=args.seed, step=args.step,
+                              seed=args.seed,
                               alpha_sign=-1.0 if args.negate_alpha else 1.0)
     checks = gamma.checks if args.trials > 0 else []
     params = {
         "dim": args.dim, "samples": args.samples, "modes": args.modes,
-        "seed": args.seed, "step": args.step, "trials": args.trials,
+        "seed": args.seed, "trials": args.trials,
         "negate_alpha": bool(args.negate_alpha),
     }
     return build_report("verify", params, checks, {})

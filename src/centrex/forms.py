@@ -10,10 +10,11 @@ R does not see the base loop and alpha sees neither g1 nor X2: that is
 left invariance (in the first factor, for alpha), enforced here by the
 interfaces simply not taking the absent arguments.  The simplicial
 coboundary on forms is the alternating sum of pullbacks along the face
-maps of the group's nerve, and the exterior derivative is evaluated by
-second-order central differences through exponential charts.  The chart
-tangents are left-trivialized, so the base loop of a chart cancels from
-them and is never multiplied in (_chart_tangents).
+maps of the group's nerve.  The exterior derivatives are evaluated in
+closed form on left-invariant vector fields, where the Lie bracket is the
+samplewise commutator (the Chevalley-Eilenberg differential): dR reduces
+to the cocycle identity of the loop-algebra 2-cocycle R, and dalpha to
+three circle integrals at g2.
 
 Every evaluation accepts loops and tangents stacked along leading axes
 (see loops.py) and then returns one value per stack entry, as an array;
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .loops import (DiscreteLoop, LoopTangent, _as_result, circle_integral,
+from .loops import (LoopTangent, _as_result, circle_integral,
                     conjugate_tangent, right_log_derivative,
                     spectral_derivative)
 from .su import _dagger, exp_stack, killing_form_samples, project_algebra
 
 FOUR_PI_SQUARED = 4.0 * np.pi**2
-STEP_MIN, STEP_MAX = 1e-4, 1e-2
+# central-difference step of left_invariance_fd_residual
+LEFT_INVARIANCE_STEP = 1e-3
 
 
 def _check_pair(x, y):
@@ -38,19 +40,23 @@ def _check_pair(x, y):
         raise ValueError("mismatched sample count or matrix dimension")
 
 
+def _pairing(x, values):
+    """1/(4 pi^2) * integral <X, V> dtheta for a tangent X and sampled V."""
+    return circle_integral(killing_form_samples(x.samples, values)) \
+        / FOUR_PI_SQUARED
+
+
 def eval_R(x, y):
     """R paired against two left-trivialized tangents (base loop irrelevant)."""
     _check_pair(x, y)
-    integrand = killing_form_samples(x.samples, spectral_derivative(y.samples))
-    return circle_integral(integrand) / FOUR_PI_SQUARED
+    return _pairing(x, spectral_derivative(y.samples))
 
 
 def eval_alpha(g2, x1):
     """alpha at a point of G x G: needs only the second loop and the
     first-slot tangent."""
     _check_pair(g2, x1)
-    integrand = killing_form_samples(x1.samples, right_log_derivative(g2))
-    return circle_integral(integrand) / FOUR_PI_SQUARED
+    return _pairing(x1, right_log_derivative(g2))
 
 
 def face_pushforward(i, loops, tangents):
@@ -98,106 +104,80 @@ def delta_form_alpha(point, xi, alpha_sign=1.0):
     return total
 
 
-def _check_step(h):
-    if not STEP_MIN <= h <= STEP_MAX:
-        raise ValueError("step %.3e outside [%g, %g]" % (h, STEP_MIN, STEP_MAX))
+def _bracket(x, y):
+    """Samplewise commutator [X, Y] of two tangent fields (again su(n))."""
+    return LoopTangent._trusted(x.samples @ y.samples - y.samples @ x.samples)
 
 
-def _chart_tangents(field, directions, h):
-    """Central-difference tangents of t -> g exp(field + t D), one per
-    direction D, left-trivialized at t = 0 and projected back onto su(n).
+def d_alpha_numeric(point, xi, eta, alpha_sign=1.0):
+    """d(alpha) at (g1, g2) on the left-invariant fields (X1, X2), (Y1, Y2):
 
-    The base loop g cancels: (g exp(F))^-1 d/dt g exp(F + tD) =
-    exp(F)^-1 d/dt exp(F + tD), so no g is taken and none is multiplied
-    in.  All exponentials come from one exp_stack call, exp(field) once
-    for every direction.
+        dalpha(xi, eta) = xi[alpha(eta)] - eta[alpha(xi)] - alpha([xi, eta])
+            = 1/(4 pi^2) * integral <Y1, Ad(g2) X2'> - <X1, Ad(g2) Y2'>
+                                    - <[X1, Y1], g2' g2^{-1}> dtheta
+
+    since moving g2 along g2 exp(tX2) changes g2' g2^{-1} by Ad(g2) X2'
+    at first order, and the bracket of left-invariant fields is the
+    samplewise commutator.  Exact up to the spectral error of the theta
+    derivatives; g1 drops out because alpha does not read it.  The pushed
+    tangents of face_pushforward are not used, so delta_form_R is checked
+    against independent code.
     """
-    charts = np.empty((1 + 2 * len(directions),) + field.shape,
-                      dtype=np.complex128)
-    charts[0] = field
-    for k, d in enumerate(directions):
-        charts[2 * k + 1] = field + h * d
-        charts[2 * k + 2] = field - h * d
-    exps = exp_stack(charts)
-    u0_inv = _dagger(exps[0])
-    return [LoopTangent._trusted(project_algebra(
-        u0_inv @ (exps[2 * k + 1] - exps[2 * k + 2]) / (2.0 * h)))
-        for k in range(len(directions))]
-
-
-def d_alpha_numeric(point, xi, eta, h=1e-3, alpha_sign=1.0):
-    """d(alpha) on the coordinate surface
-    sigma(s, t) = (g1 exp(sX1 + tY1), g2 exp(sX2 + tY2)):
-
-        d(sigma* alpha)(d_s, d_t) = d_s[alpha(d_t sigma)] - d_t[alpha(d_s sigma)]
-
-    with every derivative a second-order central difference; total error O(h^2).
-    g1 drops out: alpha does not read the first factor, and the chart
-    tangent of s -> g1 exp(F + sD) does not depend on g1 (_chart_tangents).
-    """
-    _check_step(h)
     _, g2 = point
     (x1, x2), (y1, y2) = xi, eta
+    g, g_inv = g2.samples, _dagger(g2.samples)
 
-    def alpha_along(move1, move2, direction, s):
-        # alpha of the coordinate line along `direction`, taken at the
-        # point moved by s along (move1, move2)
-        (tan,) = _chart_tangents(s * move1.samples, (direction.samples,), h)
-        base2 = DiscreteLoop._trusted(
-            g2.samples @ exp_stack(s * move2.samples))
-        return alpha_sign * eval_alpha(base2, tan)
+    def ad_slope(tangent):
+        return g @ spectral_derivative(tangent.samples) @ g_inv
 
-    term_s = (alpha_along(x1, x2, y1, h)
-              - alpha_along(x1, x2, y1, -h)) / (2.0 * h)
-    term_t = (alpha_along(y1, y2, x1, h)
-              - alpha_along(y1, y2, x1, -h)) / (2.0 * h)
-    return term_s - term_t
+    total = (_pairing(y1, ad_slope(x2)) - _pairing(x1, ad_slope(y2))
+             - eval_alpha(g2, _bracket(x1, y1)))
+    return alpha_sign * total
 
 
-def d_R_numeric(loop, x, y, z, h=1e-3):
-    """d(R) on the three-parameter family g exp(s1 X + s2 Y + s3 Z):
+def d_R_numeric(x, y, z):
+    """d(R) on the left-invariant fields X, Y, Z; the closedness residual.
 
-        dR(d1, d2, d3) = d1[R(d2, d3)] - d2[R(d1, d3)] + d3[R(d1, d2)]
+    R(Y, Z) and its companions are constant on left-invariant fields, so
+    only the bracket terms of the exterior derivative survive:
 
-    (coordinate fields commute, so there are no bracket terms); the result
-    is the closedness residual, O(h^2) away from zero.  The loop g drops
-    out: R is left invariant and so are the chart tangents
-    (_chart_tangents), so the residual is the same at every g.
+        dR(X, Y, Z) = -R([X, Y], Z) + R([X, Z], Y) - R([Y, Z], X)
+
+    which is zero by the cocycle identity of the loop-algebra 2-cocycle
+    (integration by parts and ad-invariance of <.,.>).  For band-limited
+    fields whose products stay below the Nyquist mode only round-off
+    remains.
     """
-    _check_step(h)
-    fields = (x.samples, y.samples, z.samples)
-
-    def pair_value(axis, s, i, j):
-        ti, tj = _chart_tangents(s * fields[axis], (fields[i], fields[j]), h)
-        return eval_R(ti, tj)
-
-    total = 0.0
-    for axis, sign, (i, j) in ((0, 1.0, (1, 2)),
-                               (1, -1.0, (0, 2)),
-                               (2, 1.0, (0, 1))):
-        total += sign * (pair_value(axis, h, i, j)
-                         - pair_value(axis, -h, i, j)) / (2.0 * h)
-    return total
+    return (-eval_R(_bracket(x, y), z) + eval_R(_bracket(x, z), y)
+            - eval_R(_bracket(y, z), x))
 
 
-def left_invariance_check(k, g1, g2, x1):
-    """|alpha at (k g1, g2) - alpha at (g1, g2)| for the same tangent data.
+def left_invariance_check(k, g1, g2, x1, y1):
+    """Left translation by k against left-trivialization, on alpha and R.
 
-    eval_alpha never reads the first factor, so this is zero by interface
-    and neither k nor g1 is used; left_invariance_fd_residual is the
-    chart-level cross-check that does translate g1.
+    The raw tangents g1 X1 and g1 Y1 at g1 are translated exactly to
+    k (g1 X) at k g1 and left-trivialized there as (k g1)^{-1} k g1 X.
+    Returns the larger of |alpha(g2) on the translated X1 - alpha(g2)(X1)|
+    and |R on the translated pair - R(X1, Y1)|: zero up to the round-off
+    of the products, and large if translation and trivialization stop
+    agreeing (a base that is not in SU(n), for instance).
     """
-    return abs(eval_alpha(g2, x1) - eval_alpha(g2, x1))
+    base_inv = _dagger(k.multiply(g1).samples)
+    moved = [LoopTangent._trusted(
+        base_inv @ (k.samples @ (g1.samples @ t.samples))) for t in (x1, y1)]
+    return _as_result(np.maximum(
+        abs(eval_alpha(g2, moved[0]) - eval_alpha(g2, x1)),
+        abs(eval_R(*moved) - eval_R(x1, y1))))
 
 
-def left_invariance_fd_residual(k, g1, g2, x1, h=1e-3):
+def left_invariance_fd_residual(k, g1, g2, x1):
     """Chart-level cross-check of left invariance: extract the tangent of
-    t -> g exp(tX1) by central differences at g = g1 and at g = k g1, and
-    compare the alpha pairings.  Algebraically identical; only float
-    noise from the extra multiplication survives.  The difference is
-    formed here with g multiplied in, since translating g is the point
-    (_chart_tangents drops g, which cancels)."""
-    _check_step(h)
+    t -> g exp(tX1) by central differences (step LEFT_INVARIANCE_STEP) at
+    g = g1 and at g = k g1, and compare the alpha pairings.  Algebraically
+    identical; only float noise from the extra multiplication survives.
+    The difference is formed with g multiplied in, since translating g is
+    the point."""
+    h = LEFT_INVARIANCE_STEP
     bases = np.stack((g1.samples, k.multiply(g1).samples))
     plus, minus = exp_stack(np.stack((h * x1.samples, -h * x1.samples)))
     tan = LoopTangent._trusted(project_algebra(

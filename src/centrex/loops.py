@@ -197,24 +197,6 @@ def circle_integral(values):
     return _as_result(2.0 * np.pi * values.sum(axis=-1) / values.shape[-1])
 
 
-_FD8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5,
-                 4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])
-_FD8_OFFSETS = (-4, -3, -2, -1, 1, 2, 3, 4)
-
-
-def fd_derivative8(values):
-    """8th-order centered finite difference on the periodic grid along the
-    sample axis of a (..., N, n, n) array (independent cross-check of the
-    spectral derivative)."""
-    values = np.asarray(values)
-    num = values.shape[-3]
-    h = 2.0 * np.pi / num
-    out = np.zeros_like(values, dtype=np.complex128)
-    for coeff, off in zip(_FD8, _FD8_OFFSETS):
-        out += coeff * np.roll(values, -off, axis=-3)
-    return out / h
-
-
 # ---------------------------------------------------------------------------
 # seeded synthesis of smooth band-limited inputs
 

@@ -40,7 +40,7 @@ import numpy as np
 from .forms import FOUR_PI_SQUARED, eval_R
 from .loops import (DiscreteLoop, LoopTangent, _check_grid, circle_integral,
                     constant_loop, spectral_derivative, theta_grid)
-from .su import _dagger, killing_form_samples, project_algebra
+from .su import killing_form_samples
 
 PAULI = np.array([
     [[0, 1], [1, 0]],
@@ -160,18 +160,6 @@ class SphereFamily:
             (profiles @ block.reshape(stack + (2, 4))).reshape(
                 stack + (self.num_samples, 2, 2)))
             for block in self.coefficient_blocks(u, phi))
-
-    def fd_tangents_at(self, u, phi, h=1e-6):
-        """Central-difference alternative to the analytic tangents."""
-        g0 = self.loop_at(u, phi)
-        g0_inv = _dagger(g0.samples)
-        out = []
-        for du, dphi in ((h, 0.0), (0.0, h * self.orientation)):
-            gp = self.loop_at(u + du, phi + dphi)
-            gm = self.loop_at(u - du, phi - dphi)
-            diff = (gp.samples - gm.samples) / (2.0 * h)
-            out.append(LoopTangent._trusted(project_algebra(g0_inv @ diff)))
-        return out[0], out[1]
 
 
 def _simpson_weights(intervals):

@@ -2,8 +2,9 @@
 
 Each check aggregates the worst residual over the trial count and
 compares it against a fixed tolerance derived from the discretization
-error models (spectral in theta, O(h^2) central differences in the
-chart parameters, O(h^4) for the pushforward cross-check).  Every report
+error models (spectral in theta, round-off for the closed-form exterior
+derivatives and left invariance, O(h^4) for the pushforward cross-check,
+O(h^2) for the chart-level left-invariance cross-check).  Every report
 row carries both the residual and the tolerance it was judged against.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError
-from .forms import (_check_step, d_R_numeric, d_alpha_numeric, delta_form_R,
+from .forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
                     delta_form_alpha, eval_R, eval_alpha, face_pushforward,
                     left_invariance_check, left_invariance_fd_residual)
 from .loops import (_as_result, _check_synthesis, displace, random_smooth_loop,
@@ -23,15 +24,15 @@ from .periods import SphereFamily, equator_rows, sphere_period
 from .rng import generator
 from .su import _dagger, project_algebra
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "antisymmetry": 1e-11,
     "bilinearity": 1e-12,
     "delta_alpha": 1e-9,
     "delta_R_vs_d_alpha": 5e-5,      # relative: |deltaR - dalpha| / (1 + |deltaR|)
-    "closedness": 1e-5,
+    "closedness": 3e-15,             # 10x the worst round-off of a sweep
     "pushforward_merge": 1e-7,       # 4th-order FD cross-check, step 1e-4
     "resolution_doubling": 1e-10,
-    "left_invariance": 0.0,
+    "left_invariance": 5e-15,        # 10x the worst round-off of a sweep
     "left_invariance_fd": 1e-9,
 }
 
@@ -41,14 +42,18 @@ DEGENERATE_PERIOD_TOLERANCE = 1e-9
 GRAM_ROW_TOLERANCE = 1e-12           # relative: |gram - full| / (1 + |full|)
 
 # Capacity guards, set from the measured cost of the batched code (README).
-# The battery costs about trials * samples * dim^2 * (modes + 256) units:
-# the charts cost per sample about as much as 256 synthesis modes.  The
-# period costs grid_u * grid_phi coefficient-block pairings per grid (the
-# doubled grid has four times as many), independent of samples, plus one
-# full eval_R row per grid, whose doubled-grid row holds
-# 2 * grid_phi * samples matrices.  With samples >= 16 the work guard
-# caps the pairings at 2^19 (2^21 doubled) and the row guard caps that
-# row; both now admit far less than a 45 s budget (README).
+# The battery costs about trials * samples * dim^2 * (modes + 256) units.
+# The offset stands for the fixed work per sample (synthesis of eight
+# inputs and of the three at 2N, the exponentials of the pushforward
+# stencil and of the left-invariance chart); it over-counts that work at
+# small modes, so the guard is conservative: its corners take 6 to 27 s
+# (README).  The period costs grid_u * grid_phi coefficient-block
+# pairings per grid (the doubled grid has four times as many),
+# independent of samples, plus one full eval_R row per grid, whose
+# doubled-grid row holds 2 * grid_phi * samples matrices.  With
+# samples >= 16 the work guard caps the pairings at 2^19 (2^21 doubled)
+# and the row guard caps that row; both now admit far less than a 45 s
+# budget (README).
 BATTERY_MODE_OFFSET = 256
 MAX_BATTERY_WORK = 2**27
 MAX_PERIOD_WORK = 2**23
@@ -122,7 +127,7 @@ def check_period_capacity(grid_u, grid_phi, samples):
 
 
 def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
-                      step=1e-3, alpha_sign=1.0, tolerances=None):
+                      alpha_sign=1.0):
     """The full invariant battery; returns a GammaReport (period excluded).
 
     Trials are synthesized and checked in stacks; each check's residual
@@ -134,11 +139,8 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be in 0..2^64-1, got %d" % seed)
     _check_synthesis(samples, modes)
-    _check_step(step)
     check_battery_capacity(dim, samples, modes, trials)
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
-    worst = {name: 0.0 for name in tol}
+    worst = {name: 0.0 for name in TOLERANCES}
     chunk = max(1, _CHUNK_SAMPLES // samples)
     for first in range(0, trials, chunk):
         s = _streams(np.arange(first, min(first + chunk, trials)))
@@ -163,29 +165,29 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
             ]),
             "delta_alpha": abs(delta_form_alpha((g1, g2, g3), (x1, x2, x3),
                                                 alpha_sign=alpha_sign)),
-            "closedness": abs(d_R_numeric(g1, x1, x2, x3, h=step)),
+            "closedness": abs(d_R_numeric(x1, x2, x3)),
             "pushforward_merge": pushforward_fd_residual(
                 g1, g2, x1, x2, h=PUSHFORWARD_STEP),
             "resolution_doubling": doubling_residual(
                 x1, y1, g2, seed, modes, s),
-            "left_invariance": left_invariance_check(g3, g1, g2, x1),
+            "left_invariance": left_invariance_check(g3, g1, g2, x1, y1),
             "left_invariance_fd": left_invariance_fd_residual(g3, g1, g2, x1),
         }
         dr = delta_form_R((g1, g2), (x1, x2), (y1, y2))
-        da = d_alpha_numeric((g1, g2), (x1, x2), (y1, y2), h=step,
+        da = d_alpha_numeric((g1, g2), (x1, x2), (y1, y2),
                              alpha_sign=alpha_sign)
         residuals["delta_R_vs_d_alpha"] = abs(dr - da) / (1.0 + abs(dr))
         for name, values in residuals.items():
             worst[name] = max(worst[name], float(np.max(values)))
 
     checks = []
-    for name in sorted(tol):
+    for name, tolerance in sorted(TOLERANCES.items()):
         residual = worst[name] if trials else None
         checks.append(CheckResult(
             name=name,
             residual=residual,
-            tolerance=tol[name],
-            passed=(residual is None or residual <= tol[name]),
+            tolerance=tolerance,
+            passed=(residual is None or residual <= tolerance),
             trials=trials,
         ))
     return GammaReport(checks=checks)
@@ -219,33 +221,12 @@ def doubling_residual(x, y, g, seed, modes, streams):
                                  abs(eval_alpha(g, x) - eval_alpha(g_f, x_f))))
 
 
-def full_gamma_report(dim=2, samples=128, modes=3, trials=100, seed=0,
-                      step=1e-3, grid=(32, 32)):
-    """Battery plus period in one report; the period slots only make
-    sense for dim = 2, where the generator family lives."""
-    report = run_gamma_battery(dim=dim, samples=samples, modes=modes,
-                               trials=trials, seed=seed, step=step)
-    if dim == 2:
-        _, checks = run_period_checks(grid=grid, samples=samples)
-        report.checks.extend(checks)
-    return report
-
-
-def run_period_check(grid=(64, 64), samples=128, degenerate=False,
-                     orientation=1, tolerance=PERIOD_TOLERANCE):
-    """(results, integrality check) of run_period_checks."""
-    results, checks = run_period_checks(grid=grid, samples=samples,
-                                        degenerate=degenerate,
-                                        orientation=orientation,
-                                        tolerance=tolerance)
-    return results, checks[0]
-
-
 def run_period_checks(grid=(64, 64), samples=128, degenerate=False,
-                      orientation=1, tolerance=PERIOD_TOLERANCE):
+                      orientation=1):
     """Period of R over the generator family at the given and the doubled
     grid resolutions; integrality asks the raw period to sit within
-    tolerance of one nonzero integer at both.
+    PERIOD_TOLERANCE of one nonzero integer at both (within
+    DEGENERATE_PERIOD_TOLERANCE of zero for the degenerate family).
 
     Returns (results, [integrality, gram row]).  The second check compares,
     at both grids, the equator row of the Gram-matrix quadrature with the
@@ -279,6 +260,7 @@ def run_period_checks(grid=(64, 64), samples=128, degenerate=False,
         residual = max(abs(r["period"]) for r in results)
         tolerance = DEGENERATE_PERIOD_TOLERANCE
     else:
+        tolerance = PERIOD_TOLERANCE
         same = results[0]["nearest_integer"] == results[1]["nearest_integer"]
         nonzero = results[0]["nearest_integer"] != 0
         residual = max(r["deviation"] for r in results)

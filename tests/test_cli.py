@@ -276,13 +276,13 @@ def test_verify_small_run(tmp_path):
 
 
 def test_verify_full_defaults_pass(tmp_path):
-    # the documented default configuration: n=2, N=128, K=3, h=1e-3, 100 trials
+    # the documented default configuration: n=2, N=128, K=3, 100 trials
     out = tmp_path / "full.json"
     assert main(["verify", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["all_passed"]
     assert report["parameters"] == {
-        "dim": 2, "samples": 128, "modes": 3, "seed": 0, "step": 1e-3,
+        "dim": 2, "samples": 128, "modes": 3, "seed": 0,
         "trials": 100, "negate_alpha": False}
 
 
@@ -324,11 +324,17 @@ def test_verify_report_independent_of_chunk(tmp_path, monkeypatch, dim):
 
 @pytest.mark.parametrize("flags", [["--dim", "0"], ["--dim", "1"],
                                    ["--trials", "-1"], ["--modes", "-1"],
-                                   ["--samples", "24"], ["--seed", "-1"],
-                                   ["--trials", "0", "--step", "5"]])
+                                   ["--samples", "24"], ["--seed", "-1"]])
 def test_verify_input_bounds_exit_2(flags, capsys):
     assert main(["verify"] + flags) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_verify_step_flag_removed(capsys):
+    # the exterior derivatives are closed forms; there is no step to set
+    for flags in (["--step", "1e-3"], ["--trials", "0", "--step", "5"]):
+        assert main(["verify"] + flags) == 2
+        assert "unrecognized arguments: --step" in capsys.readouterr().err
 
 
 def _exits_3_without_allocating(argv):

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from centrex.forms import (_chart_tangents, d_R_numeric, d_alpha_numeric,
-                           delta_form_R, delta_form_alpha, eval_R, eval_alpha,
+from centrex import forms, verify
+from centrex.forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
+                           delta_form_alpha, eval_R, eval_alpha,
                            face_pushforward, left_invariance_check,
                            left_invariance_fd_residual)
 from centrex.loops import (DiscreteLoop, LoopTangent, _as_result,
-                           constant_loop, displace, random_smooth_loop,
+                           constant_loop, random_smooth_loop,
                            random_smooth_tangent, theta_grid, zero_tangent)
 from centrex.su import exp_stack, project_algebra
-from centrex.verify import _streams, pushforward_fd_residual
+from centrex.verify import (TOLERANCES, _streams, pushforward_fd_residual,
+                            run_gamma_battery)
+
+from chart_fd import fd_d_R, fd_d_alpha
 
 H = np.array([[1j, 0], [0, -1j]])
 N = 128
@@ -170,8 +174,8 @@ def test_d_alpha_matches_delta_R():
         xi = (_tan(37, 6 * t + 2), _tan(37, 6 * t + 3))
         eta = (_tan(37, 6 * t + 4), _tan(37, 6 * t + 5))
         dr = delta_form_R((g1, g2), xi, eta)
-        da = d_alpha_numeric((g1, g2), xi, eta, h=1e-3)
-        assert abs(dr - da) <= 5e-5 * (1 + abs(dr))
+        da = d_alpha_numeric((g1, g2), xi, eta)
+        assert abs(dr - da) <= 1e-14 * (1 + abs(dr))
 
 
 def test_d_alpha_antisymmetry_and_zero():
@@ -182,34 +186,49 @@ def test_d_alpha_antisymmetry_and_zero():
     assert abs(d_alpha_numeric((g1, g2), xi, xi)) <= 1e-10
 
 
-def test_d_alpha_step_guard():
-    g1, g2 = _loop(43, 0), _loop(43, 1)
-    xi = (_tan(43, 2), _tan(43, 3))
-    with pytest.raises(ValueError, match="step"):
-        d_alpha_numeric((g1, g2), xi, xi, h=1e-5)
-    with pytest.raises(ValueError, match="step"):
-        d_R_numeric(g1, xi[0], xi[1], xi[0], h=0.5)
-
-
 def test_d_R_residuals():
-    g = constant_loop(2, N)
-    xs = tuple(_tan(47, s) for s in range(3))
-    assert abs(d_R_numeric(g, *xs, h=1e-3)) <= 1e-6
     for t in range(10):
-        g = _loop(53, 4 * t)
         x, y, z = (_tan(53, 4 * t + 1 + s) for s in range(3))
-        assert abs(d_R_numeric(g, x, y, z, h=1e-3)) <= 1e-5
-        assert abs(d_R_numeric(g, x, x, y, h=1e-3)) <= 1e-6  # repeated slot
+        assert abs(d_R_numeric(x, y, z)) <= 1e-15
+        assert d_R_numeric(x, x, y) == 0.0   # repeated slot: [X, X] = 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_chart_reference_converges_to_the_closed_forms(dim):
+    # the second-order chart differences approach both closed forms as
+    # O(h^2): the gap is at most h^2 and shrinks at least 3x when h halves
+    s = _streams(np.arange(10))
+    g1, g2 = (random_smooth_loop(71, dim, N, 3, stream=s[k])
+              for k in ("g1", "g2"))
+    x1, x2, x3, y1, y2 = (random_smooth_tangent(71, dim, N, 3, stream=s[k])
+                          for k in ("x1", "x2", "x3", "y1", "y2"))
+    point, xi, eta = (g1, g2), (x1, x2), (y1, y2)
+    exact_alpha = d_alpha_numeric(point, xi, eta)
+    exact_R = d_R_numeric(x1, x2, x3)
+    for reference, exact in (
+            (lambda h: fd_d_alpha(point, xi, eta, h), exact_alpha),
+            (lambda h: fd_d_R(x1, x2, x3, h), exact_R)):
+        gap, gap_half = (np.abs(reference(h) - exact).max()
+                         for h in (1e-3, 5e-4))
+        assert gap <= 1e-6
+        assert gap >= 3.0 * gap_half
 
 
 def test_left_invariance():
     k, g1, g2 = _loop(59, 0), _loop(59, 1), _loop(59, 2)
-    x1 = _tan(59, 3)
-    assert left_invariance_check(k, g1, g2, x1) == 0.0
-    # R analog: the evaluation never sees a base loop at all
-    y1 = _tan(59, 4)
-    assert eval_R(x1, y1) - eval_R(x1, y1) == 0.0
+    x1, y1 = _tan(59, 3), _tan(59, 4)
+    assert left_invariance_check(k, g1, g2, x1, y1) \
+        <= TOLERANCES["left_invariance"]
     assert left_invariance_fd_residual(k, g1, g2, x1) <= 1e-9
+
+
+def test_left_invariance_check_can_fail():
+    # a translation that is not in SU(n) no longer cancels against the
+    # left-trivialization at k g1
+    g1, g2 = _loop(59, 1), _loop(59, 2)
+    x1, y1 = _tan(59, 3), _tan(59, 4)
+    k = DiscreteLoop._trusted(np.broadcast_to(1.001 * np.eye(2), (N, 2, 2)))
+    assert left_invariance_check(k, g1, g2, x1, y1) > 1e-5
 
 
 def test_stacked_forms_match_unstacked_calls():
@@ -226,7 +245,8 @@ def test_stacked_forms_match_unstacked_calls():
             delta_form_alpha(tuple(g), tuple(x[:3])),
             delta_form_R(tuple(g[:2]), tuple(x[:2]), tuple(x[2:])),
             d_alpha_numeric(tuple(g[:2]), tuple(x[:2]), tuple(x[2:])),
-            d_R_numeric(g[0], *x[:3]),
+            d_R_numeric(*x[:3]),
+            left_invariance_check(g[2], g[0], g[1], x[0], x[1]),
             left_invariance_fd_residual(g[2], g[0], g[1], x[0]),
             pushforward_fd_residual(g[0], g[1], x[0], x[1]))
         for t in range(3):
@@ -237,7 +257,8 @@ def test_stacked_forms_match_unstacked_calls():
                 delta_form_alpha(tuple(gt), tuple(xt[:3])),
                 delta_form_R(tuple(gt[:2]), tuple(xt[:2]), tuple(xt[2:])),
                 d_alpha_numeric(tuple(gt[:2]), tuple(xt[:2]), tuple(xt[2:])),
-                d_R_numeric(gt[0], *xt[:3]),
+                d_R_numeric(*xt[:3]),
+                left_invariance_check(gt[2], gt[0], gt[1], xt[0], xt[1]),
                 left_invariance_fd_residual(gt[2], gt[0], gt[1], xt[0]),
                 pushforward_fd_residual(gt[0], gt[1], xt[0], xt[1]))
             for many, one in zip(stacked, single):
@@ -254,19 +275,6 @@ def _chart_tangents_with_base(base, field, directions, h):
     return [project_algebra(u0_inv @ (base @ exps[2 * k + 1]
                                       - base @ exps[2 * k + 2]) / (2.0 * h))
             for k in range(len(directions))]
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_chart_tangents_do_not_depend_on_the_base_loop(dim):
-    g = _loop(67, 0, dim=dim)
-    assert np.abs(g.samples - np.eye(dim)).max() > 0.1
-    field = _tan(67, 1, dim=dim).samples
-    directions = tuple(_tan(67, 2 + k, dim=dim).samples for k in range(2))
-    for h in (1e-3, 1e-4):
-        got = _chart_tangents(field, directions, h)
-        want = _chart_tangents_with_base(g.samples, field, directions, h)
-        for a, b in zip(got, want):
-            assert np.abs(a.samples - b).max() <= 1e-12
 
 
 def _left_invariance_fd_with_charts(k, g1, g2, x1, h=1e-3):
@@ -301,3 +309,37 @@ def test_pushforward_fourth_order_at_dim_eight():
     x1, x2 = (random_smooth_tangent(0, 8, 128, 3, stream=s[k])
               for k in ("x1", "x2"))
     assert pushforward_fd_residual(g1, g2, x1, x2).max() <= 1e-9
+
+
+def _merge_without_ad(i, loops, tangents):
+    # the G x G -> G merge with X1 pushed forward as X1 instead of
+    # Ad(g2^-1) X1; only delta_form_R takes this merge in forms, and
+    # verify's pushforward_merge row keeps its own binding
+    if len(loops) == 2 and i == 1:
+        return (loops[0].multiply(loops[1]),), (tangents[0] + tangents[1],)
+    return face_pushforward(i, loops, tangents)
+
+
+def _d_R_one_sign_flipped(x, y, z):
+    bracket = forms._bracket
+    return (eval_R(bracket(x, y), z) + eval_R(bracket(x, z), y)
+            - eval_R(bracket(y, z), x))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("mutation, row", [
+    ("pushforward_without_ad", "delta_R_vs_d_alpha"),
+    ("d_R_sign_flip", "closedness"),
+    ("negate_alpha", "delta_R_vs_d_alpha"),
+])
+def test_mutation_fails_only_its_row(monkeypatch, mutation, row, dim):
+    alpha_sign = 1.0
+    if mutation == "pushforward_without_ad":
+        monkeypatch.setattr(forms, "face_pushforward", _merge_without_ad)
+    elif mutation == "d_R_sign_flip":
+        monkeypatch.setattr(verify, "d_R_numeric", _d_R_one_sign_flipped)
+    else:
+        alpha_sign = -1.0
+    report = run_gamma_battery(dim=dim, samples=64, trials=4, seed=3,
+                               alpha_sign=alpha_sign)
+    assert [c.name for c in report.checks if not c.passed] == [row]

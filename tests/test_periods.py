@@ -3,10 +3,10 @@ import pytest
 
 from centrex import forms, periods, verify
 from centrex.forms import eval_R
-from centrex.loops import theta_grid
+from centrex.loops import LoopTangent, theta_grid
 from centrex.periods import SphereFamily, sphere_period
-from centrex.su import assert_algebra
-from centrex.verify import run_period_check, run_period_checks
+from centrex.su import _dagger, assert_algebra, project_algebra
+from centrex.verify import run_period_checks
 
 
 def test_family_loops_are_valid_and_based():
@@ -24,13 +24,25 @@ def test_poles_independent_of_phi():
         assert np.abs(s - north[0]).max() <= 1e-15
 
 
+def fd_tangents_at(fam, u, phi, h=1e-6):
+    """Central-difference alternative to the analytic tangents."""
+    g0_inv = _dagger(fam.loop_at(u, phi).samples)
+    out = []
+    for du, dphi in ((h, 0.0), (0.0, h * fam.orientation)):
+        gp = fam.loop_at(u + du, phi + dphi)
+        gm = fam.loop_at(u - du, phi - dphi)
+        diff = (gp.samples - gm.samples) / (2.0 * h)
+        out.append(LoopTangent._trusted(project_algebra(g0_inv @ diff)))
+    return out[0], out[1]
+
+
 def test_analytic_tangents_match_finite_differences():
     fam = SphereFamily(8, 8, 64)
     for (i, j) in ((2, 1), (4, 3), (6, 7)):
         u, phi = fam.node(i, j)
         xu, xphi = fam.tangents_at(u, phi)
         assert_algebra(xu.samples)
-        fu, fphi = fam.fd_tangents_at(u, phi)
+        fu, fphi = fd_tangents_at(fam, u, phi)
         assert np.abs(xu.samples - fu.samples).max() <= 1e-9
         assert np.abs(xphi.samples - fphi.samples).max() <= 1e-9
 
@@ -106,11 +118,12 @@ def test_integrand_is_phi_independent():
 
 
 def test_run_period_check_pass_and_degenerate():
-    results, check = run_period_check(grid=(16, 16), samples=64)
+    results, (check, _) = run_period_checks(grid=(16, 16), samples=64)
     assert check.passed
     assert results[0]["nearest_integer"] == results[1]["nearest_integer"] == -2
     assert results[1]["grid_u"] == 32
-    _, degenerate = run_period_check(grid=(8, 8), samples=32, degenerate=True)
+    _, (degenerate, _) = run_period_checks(grid=(8, 8), samples=32,
+                                           degenerate=True)
     assert degenerate.passed
 
 
@@ -137,7 +150,7 @@ def test_period_samples_one_tangent_row_per_grid(monkeypatch):
     # the Gram quadrature samples no tangent; the cross-check row takes
     # one tangents_at and one eval_R call at each of the two grids
     calls = _count_calls(monkeypatch)
-    results, check = run_period_check(grid=(64, 64))
+    results, (check, _) = run_period_checks(grid=(64, 64))
     assert check.passed and results[0]["nearest_integer"] == -2
     assert calls["tangents_at"] <= 2 and calls["eval_R"] <= 2
 
