@@ -28,7 +28,8 @@ import numpy as np
 from .loops import (LoopTangent, _as_result, circle_integral,
                     conjugate_tangent, right_log_derivative,
                     spectral_derivative)
-from .su import _dagger, exp_stack, killing_form_samples, project_algebra
+from .su import (_dagger, _matmul, exp_stack, killing_form_samples,
+                 project_algebra)
 
 FOUR_PI_SQUARED = 4.0 * np.pi**2
 # central-difference step of left_invariance_fd_residual
@@ -106,7 +107,8 @@ def delta_form_alpha(point, xi, alpha_sign=1.0):
 
 def _bracket(x, y):
     """Samplewise commutator [X, Y] of two tangent fields (again su(n))."""
-    return LoopTangent._trusted(x.samples @ y.samples - y.samples @ x.samples)
+    return LoopTangent._trusted(_matmul(x.samples, y.samples)
+                                - _matmul(y.samples, x.samples))
 
 
 def d_alpha_numeric(point, xi, eta, alpha_sign=1.0):
@@ -128,7 +130,7 @@ def d_alpha_numeric(point, xi, eta, alpha_sign=1.0):
     g, g_inv = g2.samples, _dagger(g2.samples)
 
     def ad_slope(tangent):
-        return g @ spectral_derivative(tangent.samples) @ g_inv
+        return _matmul(_matmul(g, spectral_derivative(tangent.samples)), g_inv)
 
     total = (_pairing(y1, ad_slope(x2)) - _pairing(x1, ad_slope(y2))
              - eval_alpha(g2, _bracket(x1, y1)))
@@ -163,8 +165,9 @@ def left_invariance_check(k, g1, g2, x1, y1):
     agreeing (a base that is not in SU(n), for instance).
     """
     base_inv = _dagger(k.multiply(g1).samples)
-    moved = [LoopTangent._trusted(
-        base_inv @ (k.samples @ (g1.samples @ t.samples))) for t in (x1, y1)]
+    moved = [LoopTangent._trusted(_matmul(
+        base_inv, _matmul(k.samples, _matmul(g1.samples, t.samples))))
+        for t in (x1, y1)]
     return _as_result(np.maximum(
         abs(eval_alpha(g2, moved[0]) - eval_alpha(g2, x1)),
         abs(eval_R(*moved) - eval_R(x1, y1))))
@@ -180,7 +183,8 @@ def left_invariance_fd_residual(k, g1, g2, x1):
     h = LEFT_INVARIANCE_STEP
     bases = np.stack((g1.samples, k.multiply(g1).samples))
     plus, minus = exp_stack(np.stack((h * x1.samples, -h * x1.samples)))
-    tan = LoopTangent._trusted(project_algebra(
-        _dagger(bases) @ (bases @ plus - bases @ minus) / (2.0 * h)))
+    tan = LoopTangent._trusted(project_algebra(_matmul(
+        _dagger(bases), _matmul(bases, plus) - _matmul(bases, minus))
+        / (2.0 * h)))
     here, there = eval_alpha(g2, tan)
     return _as_result(abs(here - there))

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import generator
-from .su import (_dagger, assert_algebra, assert_special_unitary, exp_stack,
-                 project_algebra, random_algebra)
+from .su import (_dagger, _matmul, assert_algebra, assert_special_unitary,
+                 exp_stack, project_algebra, random_algebra)
 
 MIN_SAMPLES = 16
 
@@ -91,7 +91,7 @@ class DiscreteLoop(_Sampled):
     _check_members = staticmethod(assert_special_unitary)
 
     def multiply(self, other):
-        return DiscreteLoop._trusted(self.samples @ other.samples)
+        return DiscreteLoop._trusted(_matmul(self.samples, other.samples))
 
     def inverse(self):
         return DiscreteLoop._trusted(_dagger(self.samples))
@@ -145,14 +145,14 @@ def conjugate_tangent(conjugator, tangent):
     """Samplewise g X g^{-1}; with conjugator = g2.inverse() this is the
     adjoint action Ad(g2^{-1}) appearing in the merge pushforward."""
     g = conjugator.samples
-    return LoopTangent._trusted(
-        project_algebra(g @ tangent.samples @ _dagger(g)))
+    return LoopTangent._trusted(project_algebra(
+        _matmul(_matmul(g, tangent.samples), _dagger(g))))
 
 
 def displace(loop, tangent, amount):
     """The loop g exp(t X), the basic chart around g (t real)."""
     return DiscreteLoop._trusted(
-        loop.samples @ exp_stack((amount * tangent).samples))
+        _matmul(loop.samples, exp_stack((amount * tangent).samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,8 @@ def theta_derivative(loop):
 
 def right_log_derivative(loop):
     """(d_theta g) g^{-1}: the su(n)-valued angular variation of the loop."""
-    return spectral_derivative(loop.samples) @ _dagger(loop.samples)
+    return _matmul(spectral_derivative(loop.samples),
+                   _dagger(loop.samples))
 
 
 def circle_integral(values):

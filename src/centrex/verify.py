@@ -18,11 +18,11 @@ from .errors import CapacityError
 from .forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
                     delta_form_alpha, eval_R, eval_alpha, face_pushforward,
                     left_invariance_check, left_invariance_fd_residual)
-from .loops import (_as_result, _check_synthesis, displace, random_smooth_loop,
+from .loops import (_as_result, _check_grid, displace, random_smooth_loop,
                     random_smooth_tangent)
 from .periods import SphereFamily, equator_rows, sphere_period
 from .rng import generator
-from .su import _dagger, project_algebra
+from .su import _dagger, _matmul, project_algebra
 
 TOLERANCES = {
     "antisymmetry": 1e-11,
@@ -41,12 +41,20 @@ PERIOD_TOLERANCE = 1e-3
 DEGENERATE_PERIOD_TOLERANCE = 1e-9
 GRAM_ROW_TOLERANCE = 1e-12           # relative: |gram - full| / (1 + |full|)
 
+# Inputs with Fourier modes need N >= 64.  exp of a band-limited field is
+# not band-limited, so at N = 16 and 32 the spectral derivatives alias.
+# In a tolerance sweep (README) delta_alpha fails on correct code at N = 16
+# with 1 or 2 modes and at N = 32 with 4 modes (dims 6 to 8), reads 0.86
+# of its tolerance at N = 32 with 3 modes, and at most 1.1e-13 at N >= 64.
+# Constant fields (modes = 0) read 0 at every N.
+MIN_SAMPLES_WITH_MODES = 64
+
 # Capacity guards, set from the measured cost of the batched code (README).
 # The battery costs about trials * samples * dim^2 * (modes + 256) units.
 # The offset stands for the fixed work per sample (synthesis of eight
 # inputs and of the three at 2N, the exponentials of the pushforward
 # stencil and of the left-invariance chart); it over-counts that work at
-# small modes, so the guard is conservative: its corners take 6 to 27 s
+# small modes, so the guard is conservative: its corners take 5 to 28 s
 # (README).  The period costs grid_u * grid_phi coefficient-block
 # pairings per grid (the doubled grid has four times as many),
 # independent of samples, plus one full eval_R row per grid, whose
@@ -104,6 +112,18 @@ def _streams(trials):
         ("g1", "g2", "g3", "x1", "x2", "x3", "y1", "y2", "scalars"))}
 
 
+def check_battery_input(samples, modes):
+    """ValueError unless N is a power of two >= 16 and either modes = 0,
+    or 1 <= modes <= N/8 with N >= MIN_SAMPLES_WITH_MODES."""
+    _check_grid(samples)
+    if not (modes == 0 or (samples >= MIN_SAMPLES_WITH_MODES
+                           and 1 <= modes <= samples // 8)):
+        raise ValueError(
+            "verify admits modes = 0, or 1 <= modes <= N/8 with N >= %d "
+            "(the spectral derivatives alias below); got N = %d, modes = %d"
+            % (MIN_SAMPLES_WITH_MODES, samples, modes))
+
+
 def check_battery_capacity(dim, samples, modes, trials):
     """CapacityError unless the battery's work fits MAX_BATTERY_WORK."""
     work = trials * samples * dim**2 * (modes + BATTERY_MODE_OFFSET)
@@ -138,7 +158,7 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
         raise ValueError("trials must be >= 0, got %d" % trials)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be in 0..2^64-1, got %d" % seed)
-    _check_synthesis(samples, modes)
+    check_battery_input(samples, modes)
     check_battery_capacity(dim, samples, modes, trials)
     worst = {name: 0.0 for name in TOLERANCES}
     chunk = max(1, _CHUNK_SAMPLES // samples)
@@ -206,7 +226,7 @@ def pushforward_fd_residual(g1, g2, x1, x2, h=PUSHFORWARD_STEP):
     slope = (8.0 * (product(h) - product(-h))
              - (product(2.0 * h) - product(-2.0 * h))) / (12.0 * h)
     base = g1.multiply(g2)
-    fd = project_algebra(_dagger(base.samples) @ slope)
+    fd = project_algebra(_matmul(_dagger(base.samples), slope))
     return _as_result(np.abs(fd - tan.samples).max(axis=(-3, -2, -1)))
 
 

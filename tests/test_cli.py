@@ -330,6 +330,49 @@ def test_verify_input_bounds_exit_2(flags, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+# Admitted while the rule was "modes <= N/8", and failing on correct code:
+# delta_alpha (with 2 modes at N = 16 also resolution_doubling) exceeds
+# its tolerance, because the spectral derivatives alias at N = 16 and 32.
+_ALIASING_INPUTS = [
+    ["--dim", "2", "--samples", "16", "--modes", "2", "--seed", "9",
+     "--trials", "40"],
+    ["--dim", "3", "--samples", "16", "--modes", "2", "--seed", "9",
+     "--trials", "40"],
+    ["--dim", "3", "--samples", "16", "--modes", "1"],
+    ["--dim", "6", "--samples", "32", "--modes", "4", "--trials", "10"],
+    ["--dim", "8", "--samples", "32", "--modes", "4", "--trials", "10"],
+]
+
+
+@pytest.mark.parametrize("flags", _ALIASING_INPUTS)
+def test_verify_rejects_aliasing_inputs(flags, capsys):
+    assert main(["verify"] + flags) == 2
+    assert ("verify admits modes = 0, or 1 <= modes <= N/8 with N >= 64"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flags", _ALIASING_INPUTS)
+def test_verify_nearest_admitted_neighbours_pass(flags):
+    # the same request at N = 64, and at the same N without modes
+    i, j = flags.index("--samples"), flags.index("--modes")
+    at_64, no_modes = list(flags), list(flags)
+    at_64[i + 1] = "64"
+    no_modes[j + 1] = "0"
+    assert main(["verify"] + at_64) == 0
+    assert main(["verify"] + no_modes) == 0
+
+
+def test_verify_admitted_region_boundaries():
+    # the guard corner of 8192 trials at N = 16 without modes stays
+    # admitted; with modes, N = 32 is out and N = 64 admits up to N/8
+    verify.check_battery_input(16, 0)
+    with pytest.raises(ValueError, match="N >= 64"):
+        verify.check_battery_input(32, 1)
+    verify.check_battery_input(64, 8)
+    with pytest.raises(ValueError, match="N >= 64"):
+        verify.check_battery_input(64, 9)
+
+
 def test_verify_step_flag_removed(capsys):
     # the exterior derivatives are closed forms; there is no step to set
     for flags in (["--step", "1e-3"], ["--trials", "0", "--step", "5"]):

@@ -9,7 +9,7 @@ from centrex.forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
 from centrex.loops import (DiscreteLoop, LoopTangent, _as_result,
                            constant_loop, random_smooth_loop,
                            random_smooth_tangent, theta_grid, zero_tangent)
-from centrex.su import exp_stack, project_algebra
+from centrex.su import _matmul, exp_stack, project_algebra
 from centrex.verify import (TOLERANCES, _streams, pushforward_fd_residual,
                             run_gamma_battery)
 
@@ -88,7 +88,9 @@ def test_pushforward_drop_and_merge():
     loops, tans = face_pushforward(2, (g1, g2), (x1, x2))
     assert loops == (g1,) and tans == (x1,)
     loops, tans = face_pushforward(1, (g1, g2), (x1, x2))
-    assert np.abs(loops[0].samples - (g1.samples @ g2.samples)).max() == 0.0
+    # the merged loop is the samplewise product, bit for bit
+    assert np.abs(loops[0].samples
+                  - _matmul(g1.samples, g2.samples)).max() == 0.0
     expected = project_algebra(
         np.conjugate(np.swapaxes(g2.samples, 1, 2)) @ x1.samples @ g2.samples
     ) + x2.samples
@@ -271,9 +273,12 @@ def _chart_tangents_with_base(base, field, directions, h):
     # exponential, as (g exp(F))^-1 (g exp(F + hD) - g exp(F - hD)) / 2h
     exps = exp_stack(np.stack([field] + [field + s * h * d for d in directions
                                          for s in (1.0, -1.0)]))
-    u0_inv = np.conjugate(np.swapaxes(base @ exps[0], -1, -2))
-    return [project_algebra(u0_inv @ (base @ exps[2 * k + 1]
-                                      - base @ exps[2 * k + 2]) / (2.0 * h))
+    # (products through the same stacked kernel as forms, so that the
+    # comparison below is bit for bit)
+    u0_inv = np.conjugate(np.swapaxes(_matmul(base, exps[0]), -1, -2))
+    return [project_algebra(_matmul(u0_inv, _matmul(base, exps[2 * k + 1])
+                                    - _matmul(base, exps[2 * k + 2]))
+                            / (2.0 * h))
             for k in range(len(directions))]
 
 

@@ -1,11 +1,16 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centrex import forms, loops, su, verify
 from centrex.errors import NumericalError
 from centrex.rng import generator
-from centrex.su import (_det, ad_invariance_residual, algebra_residual,
+from centrex.su import (_MATMUL_UNROLL_MAX, _dagger, _det, _matmul,
+                        ad_invariance_residual, algebra_residual,
                         assert_algebra, assert_special_unitary, exp_stack,
                         exponential, killing_form, project_algebra,
                         random_algebra, unitary_residual)
@@ -161,6 +166,49 @@ def test_small_determinant_matches_lapack():
              + 1j * rng.standard_normal((50, n, n)))
         ref = np.linalg.det(m)
         assert np.abs(_det(m) - ref).max() <= 1e-13 * (1 + np.abs(ref).max())
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_matmul_matches_numpy(n):
+    # unstacked (N, n, n), stacked (B, N, n, n), the broadcast
+    # (2, B, N, n, n) x (B, N, n, n) of left_invariance_fd_residual, and
+    # strided _dagger views on either side
+    rng = generator(23)
+    shapes = [((16, n, n), (16, n, n)), ((3, 16, n, n), (3, 16, n, n)),
+              ((2, 3, 16, n, n), (3, 16, n, n))]
+    pairs = [(_complex(rng, sa), _complex(rng, sb)) for sa, sb in shapes]
+    a, b = pairs[1]
+    pairs += [(_dagger(a), b), (a, _dagger(b)), (_dagger(a), _dagger(b))]
+    eps = np.finfo(np.float64).eps
+    for a, b in pairs:
+        got, want = _matmul(a, b), np.matmul(a, b)
+        assert got.shape == want.shape and got.dtype == np.complex128
+        if n > _MATMUL_UNROLL_MAX:
+            assert np.array_equal(got, want)
+        else:
+            # entrywise within a few ulp of |a| |b|
+            bound = (n + 2) * eps * (np.abs(a) @ np.abs(b))
+            assert (np.abs(got - want) <= bound).all()
+
+
+def test_loop_side_products_go_through_the_kernel():
+    # outside _matmul itself, the only `@` left in these modules are the
+    # single-matrix helpers and the n >= 4 eigh path of exp_stack
+    allowed = {"_matmul", "killing_form", "ad_invariance_residual",
+               "exp_stack"}
+    for module in (su, loops, forms, verify):
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            uses = [op for op in ast.walk(node) if isinstance(op, ast.BinOp)
+                    and isinstance(op.op, ast.MatMult)]
+            assert not uses or node.name in allowed, (module.__name__,
+                                                      node.name)
 
 
 def test_exponential_rejects_non_algebra_input():
