@@ -24,8 +24,7 @@ from .groups import (FiniteGroup, GroupFingerprint, catalog, cyclic,
 from .cochains import (Cochain, delta, delta_squared, face_map, is_cocycle,
                        load_cochain, parse_cochain, format_cochain,
                        random_cochain, violating_triple)
-from .cohomology import (CocycleSpace, CoboundarySpace, SecondCohomology,
-                         coboundary_space, cocycle_space, cohomologous,
+from .cohomology import (SecondCohomology, cohomologous,
                          exhaustive_second_cohomology, second_cohomology)
 from .extensions import (ExtensionGroup, build_extension,
                          extension_fingerprint, is_table_isomorphism,
@@ -34,8 +33,7 @@ from .errors import CapacityError, CocycleError, NumericalError
 from .su import (ad_invariance_residual, exponential, killing_form,
                  project_algebra, random_algebra)
 from .loops import (DiscreteLoop, LoopTangent, circle_integral,
-                    constant_loop, load_loop, parse_loop, format_loop,
-                    random_smooth_loop, random_smooth_tangent,
+                    constant_loop, random_smooth_loop, random_smooth_tangent,
                     theta_derivative)
 from .forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
                     delta_form_alpha, eval_R, eval_alpha, face_pushforward,

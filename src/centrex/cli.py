@@ -79,8 +79,6 @@ def _parser():
 
     p = sub.add_parser("period", help="period of R over the SU(2) "
                                       "generator family")
-    p.add_argument("--dim", type=int, default=2,
-                   help="matrix dimension (the generator family needs 2)")
     p.add_argument("--samples", type=int, default=128)
     p.add_argument("--grid", default="64x64",
                    help="u x phi grid, e.g. 64x64")
@@ -235,13 +233,11 @@ def _cmd_verify(args):
 
 
 def _cmd_period(args):
-    if args.dim != 2:
-        raise ValueError("the generator family lives in SU(2); --dim must be 2")
     grid = _parse_grid(args.grid)
     results, checks = run_period_checks(grid=grid, samples=args.samples,
                                         degenerate=args.degenerate)
     params = {
-        "dim": args.dim, "samples": args.samples,
+        "samples": args.samples,
         "grid": "%dx%d" % grid, "degenerate": bool(args.degenerate),
     }
     payload = {

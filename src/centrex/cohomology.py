@@ -6,8 +6,13 @@ the image of the degree-1 differential, and H^2 = Z^2 / B^2 is the
 cokernel of the coboundaries written in coordinates of Z^2.  All three
 come from one Smith normal form over Z/n, a principal ideal ring, with
 every entry kept in [0, n) (Storjohann & Mulders, "Fast algorithms for
-linear algebra modulo N", ESA 1998).  An exhaustive enumeration oracle,
-independent of that algebra, checks it wherever n^(m^2) <= ORACLE_LIMIT.
+linear algebra modulo N", ESA 1998).  That SNF tracks the column
+transform V and its inverse only.  A kernel is read off the columns of V.
+The quotient needs the row transform U of its relation matrix M instead,
+so it runs on M^T, whose V is U(M)^T.  A linear system A x = b is solved
+through the kernel of [A | -b], which holds (x, 1) exactly when x solves
+it.  An exhaustive enumeration oracle, independent of that algebra,
+checks it wherever n^(m^2) <= ORACLE_LIMIT.
 
 Z^2 needs only the m^2 |S| rows of delta^2 at the triples (g, h, s) with
 s in a generating set S of G, not all m^3.  delta c(g, h, k) = 0 says the
@@ -44,10 +49,12 @@ ORACLE_LIMIT = 2**20
 MAX_CLASS_ENUMERATION = 4096
 
 def check_capacity(group, n):
+    if n < 1:
+        raise ValueError("modulus must be >= 1, got %d" % n)
     if group.order > MAX_GROUP_ORDER:
         raise CapacityError("group order %d exceeds guard %d"
                             % (group.order, MAX_GROUP_ORDER))
-    if not 1 <= n <= MAX_MODULUS:
+    if n > MAX_MODULUS:
         raise CapacityError("modulus %d outside guard 1..%d" % (n, MAX_MODULUS))
 
 
@@ -70,7 +77,7 @@ def delta_matrix(group, p, last=None):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z/n with transform tracking
+# Smith normal form over Z/n with column transform tracking
 
 def _xgcd(a, b):
     """(g, x, y) with x*a + y*b = g = gcd(a, b), for a > 0 and b >= 0."""
@@ -95,17 +102,15 @@ class SNFResult:
     diag: list
     V: np.ndarray
     Vinv: np.ndarray
-    U: np.ndarray | None = None
-    Uinv: np.ndarray | None = None
 
 
 # Step t works on the trailing block S = A[t:, t:] with its pivot at
 # S[0, 0]: the rows and columns before t are already cleared, so no
 # operation of step t can change them.  A row operation acts on the rows
-# of each array in ``fwd`` (S, and U[t:] when tracked) and, inversely, on
-# the columns of each array in ``inv`` (Uinv[:, t:]).  A column operation
-# is the same row operation on the transposed views S.T and V[:, t:].T,
-# with Vinv[t:].T as its inverse side.
+# of each array in ``fwd`` and, inversely, on the columns of each array in
+# ``inv``; rows are not tracked, so it acts on S alone.  A column
+# operation is the same row operation on the transposed views S.T and
+# V[:, t:].T, with Vinv[t:].T as its inverse side.
 
 def _swap(fwd, inv, i):
     """Exchange line i with the pivot line 0."""
@@ -181,16 +186,17 @@ def _pivot(S, n):
     return None
 
 
-def smith_normal_form(A, n, track_u=False):
+def smith_normal_form(A, n):
     """Diagonalize A over Z/n by row and column operations invertible mod n.
 
     Every array is int64 with entries in [0, n).  Returns the nonzero
     diagonal plus the column transform V and its inverse, so that
-    U A V = diag (mod n); U/Uinv are tracked on request.  The pivot is the
-    smallest nonzero residue left; entries it divides are eliminated
-    exactly, any other entry takes a Bezout step, which lowers the pivot,
-    so a pivot takes at most n - 1 of them.  The diagonal is not
-    normalized to a divisibility chain, which none of the callers need.
+    U A V = diag (mod n) for some invertible U that is not kept.  A caller
+    that needs U of a matrix M runs M^T instead: U(M) = V(M^T)^T.  The
+    pivot is the smallest nonzero residue left; entries it divides are
+    eliminated exactly, any other entry takes a Bezout step, which lowers
+    the pivot, so a pivot takes at most n - 1 of them.  The diagonal is
+    not normalized to a divisibility chain, which none of the callers need.
     """
     if isinstance(A, _Reduced):
         A = A.view(np.ndarray)
@@ -198,22 +204,20 @@ def smith_normal_form(A, n, track_u=False):
         A = np.mod(np.asarray(A, dtype=np.int64), n)
     r, k = A.shape
     V, Vinv = np.eye(k, dtype=np.int64), np.eye(k, dtype=np.int64)
-    U = np.eye(r, dtype=np.int64) if track_u else None
-    Uinv = np.eye(r, dtype=np.int64) if track_u else None
     diag = []
     for t in range(min(r, k)):
         S = A[t:, t:]
         at = _pivot(S, n)
         if at is None:
             break
-        rows = ([S, U[t:]], [Uinv[:, t:]]) if track_u else ([S], [])
+        rows = ([S], [])
         cols = ([S.T, V[:, t:].T], [Vinv[t:].T])
         _swap(*rows, at[0])
         _swap(*cols, at[1])
         while _clear(*rows, n) or _clear(*cols, n):
             pass
         diag.append(int(S[0, 0]))
-    return SNFResult(diag=diag, V=V, Vinv=Vinv, U=U, Uinv=Uinv)
+    return SNFResult(diag=diag, V=V, Vinv=Vinv)
 
 
 def _cyclic_orders(res, size, n):
@@ -238,48 +242,26 @@ def kernel_mod(A, n):
 
 
 def solve_mod(A, b, n):
-    """One solution x of A x = b (mod n), or None."""
-    res = smith_normal_form(A, n, track_u=True)
-    c = res.U @ np.mod(np.asarray(b, dtype=np.int64), n) % n
-    z = np.zeros(A.shape[1], dtype=np.int64)
-    for i, g in enumerate(_cyclic_orders(res, A.shape[0], n)):
-        if c[i] % g:
-            return None
-        if i < len(res.diag):
-            d, nn = res.diag[i], n // g
-            z[i] = (int(c[i]) // g) * pow(d // g, -1, nn) % nn
-    return res.V @ z % n
+    """One solution x of A x = b (mod n), or None.
+
+    (x, t) is in the kernel of [A | -b] exactly when A x = t b, so the
+    last coordinates of the kernel form the subgroup of Z/n generated by
+    those of its generators.  Folding the generators by Bezout steps keeps
+    a kernel vector whose last coordinate is their gcd t with n; the
+    system is solvable exactly when t reaches 1, and that vector then
+    ends in 1.
+    """
+    b = np.mod(np.asarray(b, dtype=np.int64), n)
+    _, gens, _, _ = kernel_mod(np.column_stack([A, -b]), n)
+    t, acc = n, np.zeros(A.shape[1] + 1, dtype=np.int64)
+    for gen in gens:
+        t, p, q = _xgcd(t, int(gen[-1]))
+        acc = (p * acc + q * gen) % n
+    return acc[:-1] if t == 1 else None
 
 
 # ---------------------------------------------------------------------------
-# cocycle / coboundary / cohomology spaces
-
-@dataclass
-class CocycleSpace:
-    group: object
-    modulus: int
-    size: int
-    generators: list
-    orders: list
-    snf: SNFResult = field(repr=False, default=None)
-
-    def sample(self, rng):
-        """Seeded random cocycle: random coefficients against the generators."""
-        m = self.group.order
-        flat = np.zeros(m * m, dtype=np.int64)
-        for gen, order in zip(self.generators, self.orders):
-            flat = flat + int(rng.integers(0, order)) * gen.values.reshape(-1)
-        return Cochain(self.group, self.modulus, 2, flat % self.modulus)
-
-
-@dataclass
-class CoboundarySpace:
-    group: object
-    modulus: int
-    size: int
-    generators: list
-    kernel_size: int
-
+# second cohomology
 
 @dataclass
 class SecondCohomology:
@@ -293,47 +275,23 @@ class SecondCohomology:
     z2_generators: list
 
 
-def cocycle_space(group, n):
-    """Solution set of delta(c) = 0 in degree 2 over Z/n."""
-    check_capacity(group, n)
-    return _cocycle_space(group, n)
-
-
-def coboundary_space(group, n):
-    """Image of the degree-1 differential over Z/n."""
-    check_capacity(group, n)
-    return _coboundary_space(group, n, delta_matrix(group, 1))
-
-
-def _cocycle_space(group, n):
-    # delta c(g, h, k) = 0 for all g, h holds for every k once it holds for
-    # the k of a generating set (Light's test, groups._check_associative),
-    # so only those m^2 |S| rows of delta^2 are built; the matrix is
-    # reduced in place and handed to the SNF, so one copy is ever held
-    A = delta_matrix(group, 2, last=generating_set(group.table))
-    np.mod(A, n, out=A)
-    size, gens, orders, res = kernel_mod(A.view(_Reduced), n)
-    generators = [Cochain(group, n, 2, g) for g in gens]
-    return CocycleSpace(group, n, size, generators, orders, res)
-
-
-def _coboundary_space(group, n, A):
-    """B^2 as the image of the degree-1 delta matrix A."""
-    m = group.order
-    ker_size, _, _, _ = kernel_mod(A, n)
-    size = n**m // ker_size
-    generators = [Cochain(group, n, 2, np.mod(A[:, j], n)) for j in range(m)]
-    return CoboundarySpace(group, n, size, generators, ker_size)
-
-
 def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
     """H^2 = Z^2 / B^2 with one representative cocycle per class."""
     check_capacity(group, n)
-    zspace = _cocycle_space(group, n)
+    m = group.order
+    k = m * m
+    # delta c(g, h, k) = 0 for all g, h holds for every k once it holds for
+    # the k of a generating set (Light's test, groups._check_associative),
+    # so only those m^2 |S| rows of delta^2 are built; the matrix is
+    # reduced in place and handed to the SNF, so one copy is ever held,
+    # and it is dropped before the quotient
+    A2 = delta_matrix(group, 2, last=generating_set(group.table))
+    np.mod(A2, n, out=A2)
+    z2_size, z2_gens, _, res2 = kernel_mod(A2.view(_Reduced), n)
+    del A2
     A1 = delta_matrix(group, 1)
-    bspace = _coboundary_space(group, n, A1)
-    k = group.order ** 2
-    res2 = zspace.snf
+    ker1_size, _, _, _ = kernel_mod(A1, n)
+    b2_size = n**m // ker1_size
     # in the coordinates Vinv2 x, Z^2 is the sum of the cyclic groups
     # scale_i Z/n, of orders n / scale_i
     orders = np.array(_cyclic_orders(res2, k, n), dtype=np.int64)
@@ -341,9 +299,11 @@ def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
     W = res2.Vinv @ A1 % n
     if np.any(W % scale[:, None]):
         raise AssertionError("coboundary lattice escapes the cocycle lattice")
+    # H^2 is the cokernel of M = [W / scale | diag(orders)]; its class
+    # generators are the columns of U(M)^-1, which the SNF of M^T returns
+    # as the rows of its Vinv
     res3 = smith_normal_form(
-        np.concatenate([W // scale[:, None], np.diag(orders)], axis=1), n,
-        track_u=True)
+        np.concatenate([(W // scale[:, None]).T, np.diag(orders)]), n)
     factors = _cyclic_orders(res3, k, n)
     size = prod(factors)
     if size > max_classes:
@@ -354,11 +314,11 @@ def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
                       dtype=np.int64).reshape(size, len(live))
     # the columns of V2 * scale generate Z^2 in cochain coordinates
     lifts = res2.V * scale[None, :] % n
-    flats = (combos @ res3.Uinv[:, live].T % n) @ lifts.T % n
+    flats = (combos @ res3.Vinv[live] % n) @ lifts.T % n
     reps = [Cochain(group, n, 2, flat) for flat in flats]
     invariants = sorted(f for f in factors if f > 1)
-    return SecondCohomology(group, n, size, zspace.size, bspace.size,
-                            invariants, reps, zspace.generators)
+    return SecondCohomology(group, n, size, z2_size, b2_size, invariants,
+                            reps, [Cochain(group, n, 2, g) for g in z2_gens])
 
 
 def cohomologous(c1, c2):

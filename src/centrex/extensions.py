@@ -72,9 +72,6 @@ class ExtensionGroup:
     def pair_index(self, a, g):
         return int(a) % self.modulus * self.base.order + int(g)
 
-    def pair(self, index):
-        return int(index) // self.base.order, int(index) % self.base.order
-
     def project(self, index):
         return int(index) % self.base.order
 

@@ -93,7 +93,7 @@ def delta_form_R(point, xi, eta):
     return total
 
 
-def delta_form_alpha(point, xi, alpha_sign=1.0):
+def delta_form_alpha(point, xi):
     """(delta alpha)(g1, g2, g3): alternating sum over the four faces.
 
     Analytically zero, so the return value is its own residual.
@@ -101,7 +101,7 @@ def delta_form_alpha(point, xi, alpha_sign=1.0):
     total = 0.0
     for i, sign in ((0, 1.0), (1, -1.0), (2, 1.0), (3, -1.0)):
         loops, tans = face_pushforward(i, point, xi)
-        total += sign * alpha_sign * eval_alpha(loops[1], tans[0])
+        total += sign * eval_alpha(loops[1], tans[0])
     return total
 
 
@@ -111,7 +111,7 @@ def _bracket(x, y):
                                 - _matmul(y.samples, x.samples))
 
 
-def d_alpha_numeric(point, xi, eta, alpha_sign=1.0):
+def d_alpha_numeric(point, xi, eta):
     """d(alpha) at (g1, g2) on the left-invariant fields (X1, X2), (Y1, Y2):
 
         dalpha(xi, eta) = xi[alpha(eta)] - eta[alpha(xi)] - alpha([xi, eta])
@@ -132,9 +132,8 @@ def d_alpha_numeric(point, xi, eta, alpha_sign=1.0):
     def ad_slope(tangent):
         return _matmul(_matmul(g, spectral_derivative(tangent.samples)), g_inv)
 
-    total = (_pairing(y1, ad_slope(x2)) - _pairing(x1, ad_slope(y2))
-             - eval_alpha(g2, _bracket(x1, y1)))
-    return alpha_sign * total
+    return (_pairing(y1, ad_slope(x2)) - _pairing(x1, ad_slope(y2))
+            - eval_alpha(g2, _bracket(x1, y1)))
 
 
 def d_R_numeric(x, y, z):

@@ -253,43 +253,3 @@ def random_smooth_tangent(seed, dim, num_samples, modes, stream=0):
                           TANGENT_AMPLITUDE,
                           lambda k: TANGENT_AMPLITUDE / (1 + k**2))
     return LoopTangent(field)
-
-
-# ---------------------------------------------------------------------------
-# loop file format: header "n N", then N blocks of n*n "re im" entries
-
-def parse_loop(text):
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("loop file must start with 'n N'")
-    try:
-        dim, num = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ValueError("loop header must be two integers 'n N'")
-    if dim < 1 or num < 1:
-        raise ValueError("loop header needs n >= 1 and N >= 1")
-    need = 2 * num * dim * dim
-    body = tokens[2:]
-    if len(body) != need:
-        raise ValueError("expected %d re/im values, found %d"
-                         % (need, len(body)))
-    try:
-        flat = np.array([float(t) for t in body], dtype=np.float64)
-    except ValueError:
-        raise ValueError("loop entries must be real numbers")
-    # "re im" pairs are the memory layout of complex128
-    return DiscreteLoop(flat.view(np.complex128).reshape(num, dim, dim))
-
-
-def format_loop(loop):
-    lines = ["%d %d" % (loop.dim, loop.num_samples)]
-    for sample in loop.samples:
-        for row in sample:
-            lines.append(" ".join("%.17g %.17g" % (z.real, z.imag)
-                                  for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def load_loop(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_loop(fh.read())

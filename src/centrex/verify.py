@@ -151,7 +151,10 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
     """The full invariant battery; returns a GammaReport (period excluded).
 
     Trials are synthesized and checked in stacks; each check's residual
-    is the worst over all trials."""
+    is the worst over all trials.  ``alpha_sign`` scales d alpha in the
+    delta R = d alpha row, the one row in which the sign of alpha shows:
+    negating alpha negates every term of delta alpha, and so leaves its
+    absolute value as it is."""
     if dim < 2:
         raise ValueError("dim must be >= 2 (su(1) is zero), got %d" % dim)
     if trials < 0:
@@ -183,8 +186,7 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
                 abs(eval_alpha(g2, a * x1 + b * x2)
                     - a * eval_alpha(g2, x1) - b * eval_alpha(g2, x2)),
             ]),
-            "delta_alpha": abs(delta_form_alpha((g1, g2, g3), (x1, x2, x3),
-                                                alpha_sign=alpha_sign)),
+            "delta_alpha": abs(delta_form_alpha((g1, g2, g3), (x1, x2, x3))),
             "closedness": abs(d_R_numeric(x1, x2, x3)),
             "pushforward_merge": pushforward_fd_residual(
                 g1, g2, x1, x2, h=PUSHFORWARD_STEP),
@@ -194,8 +196,7 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
             "left_invariance_fd": left_invariance_fd_residual(g3, g1, g2, x1),
         }
         dr = delta_form_R((g1, g2), (x1, x2), (y1, y2))
-        da = d_alpha_numeric((g1, g2), (x1, x2), (y1, y2),
-                             alpha_sign=alpha_sign)
+        da = alpha_sign * d_alpha_numeric((g1, g2), (x1, x2), (y1, y2))
         residuals["delta_R_vs_d_alpha"] = abs(dr - da) / (1.0 + abs(dr))
         for name, values in residuals.items():
             worst[name] = max(worst[name], float(np.max(values)))

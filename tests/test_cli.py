@@ -69,10 +69,10 @@ def test_h2_builds_each_space_once(files, monkeypatch):
     inputs = []
     real = cohomology.smith_normal_form
 
-    def counting(A, n, track_u=False):
+    def counting(A, n):
         a = np.asarray(A)
         inputs.append((a.shape, tuple(a.ravel().tolist())))
-        return real(A, n, track_u=track_u)
+        return real(A, n)
 
     monkeypatch.setattr(cohomology, "smith_normal_form", counting)
     for name, n in (("v4", "2"), ("z3", "3"), ("z3", "1")):
@@ -87,14 +87,17 @@ def test_h2_z2_matrix_has_generator_rows_only(files, monkeypatch):
     shapes = []
     real = cohomology.smith_normal_form
 
-    def recording(A, n, track_u=False):
+    def recording(A, n):
         shapes.append(np.asarray(A).shape)
-        return real(A, n, track_u=track_u)
+        return real(A, n)
 
     monkeypatch.setattr(cohomology, "smith_normal_form", recording)
     assert main(["h2", "--group", files["d8"], "--modulus", "2"]) == 0
     m = dihedral(8).order
-    z2_rows = [rows for rows, cols in shapes if cols == m * m]
+    # the quotient runs on [W / scale | diag(orders)]^T: m + m^2 rows
+    assert shapes.count((m + m * m, m * m)) == 1
+    z2_rows = [rows for rows, cols in shapes
+               if cols == m * m and rows != m + m * m]
     assert len(z2_rows) == 1
     assert z2_rows[0] <= m * m * math.ceil(math.log2(m))
 
@@ -239,14 +242,14 @@ def test_counts_consistent_decides_in_the_report(files, tmp_path,
                                                   monkeypatch):
     # a wrong |B^2| reaches the report row instead of escaping main; the
     # oracle is infeasible on D8 (2^256 cochains), so no other row sees it
-    real = cohomology._coboundary_space
+    real = cli.second_cohomology
 
-    def doubled(group, n, A):
-        space = real(group, n, A)
-        space.size *= 2
-        return space
+    def doubled(group, n):
+        h2 = real(group, n)
+        h2.b2_size *= 2
+        return h2
 
-    monkeypatch.setattr(cohomology, "_coboundary_space", doubled)
+    monkeypatch.setattr(cli, "second_cohomology", doubled)
     out = tmp_path / "d8.json"
     assert main(["h2", "--group", files["d8"], "--modulus", "2",
                  "--out", str(out)]) == 1
@@ -448,6 +451,14 @@ def test_usage_errors(files):
 
 def test_capacity_error_exit_code(files):
     assert main(["h2", "--group", files["d8"], "--modulus", "9"]) == 3
+
+
+@pytest.mark.parametrize("modulus, code", [("0", 2), ("-2", 2), ("9", 3)])
+def test_h2_modulus_bounds(files, capsys, modulus, code):
+    # a modulus below 1 is malformed input; one above the guard is capacity
+    assert main(["h2", "--group", files["z3"], "--modulus", modulus]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("input error" if code == 2 else "capacity error")
 
 
 def test_malformed_group_file(tmp_path):

@@ -10,8 +10,7 @@ import pytest
 import centrex
 from centrex import cohomology
 from centrex.cochains import Cochain, delta, delta_stack, random_cochain
-from centrex.cohomology import (coboundary_space, cocycle_space,
-                                cohomologous, delta_matrix,
+from centrex.cohomology import (cohomologous, delta_matrix,
                                 exhaustive_coboundaries, exhaustive_cocycles,
                                 exhaustive_second_cohomology, kernel_mod,
                                 second_cohomology, smith_normal_form,
@@ -70,32 +69,35 @@ Z2_4 = direct_product(direct_product(Z2, Z2), direct_product(Z2, Z2))
 ], ids=["D8-n2", "Q8-n4", "D6-n8", "Z2^4-n2", "Z4xZ4-n8"])
 def test_z2_from_generator_rows_matches_full_kernel(group, n):
     full_size, _, _, _ = kernel_mod(delta_matrix(group, 2), n)
-    zs = cocycle_space(group, n)
-    assert zs.size == full_size
-    for gen in zs.generators:
+    h2 = second_cohomology(group, n)
+    assert h2.z2_size == full_size
+    for gen in h2.z2_generators:
         assert delta(gen).is_zero
 
 
 def test_smith_normal_form_transforms():
-    # n = 6 has entries that do not divide each other: the Bezout path
+    # only the column transform is kept: V is invertible mod n, and A V has
+    # no nonzero column past the diagonal.  n = 6 has entries that do not
+    # divide each other: the Bezout path
     rng = generator(9)
     for n in (2, 3, 4, 6, 8):
         for _ in range(20):
             A = rng.integers(-4, 5, size=(rng.integers(2, 7),
                                           rng.integers(2, 7)))
-            res = smith_normal_form(A, n, track_u=True)
-            for M in (res.U, res.Uinv, res.V, res.Vinv):
+            res = smith_normal_form(A, n)
+            for M in (res.V, res.Vinv):
                 assert M.dtype == np.int64 and M.min() >= 0 and M.max() < n
             assert all(0 < d < n for d in res.diag)
-            D = np.mod(res.U @ A @ res.V, n)
-            expect = np.zeros_like(D)
-            for i, d in enumerate(res.diag):
-                expect[i, i] = d
-            assert np.array_equal(D, expect)
             assert np.array_equal(np.mod(res.V @ res.Vinv, n),
                                   np.eye(A.shape[1], dtype=int))
-            assert np.array_equal(np.mod(res.U @ res.Uinv, n),
-                                  np.eye(A.shape[0], dtype=int))
+            AV = np.mod(A @ res.V, n)
+            r = len(res.diag)
+            assert not AV[:, r:].any()
+            # column j of A V = U^-1 diag is d_j times a column of the
+            # invertible (unkept) U^-1, so its content is gcd(d_j, n)
+            for j, d in enumerate(res.diag):
+                assert np.gcd.reduce(np.append(AV[:, j], n)) == \
+                    np.gcd(d, n)
 
 
 def test_smith_normal_form_in_place_handover():
@@ -134,14 +136,26 @@ def test_kernel_mod_counts_by_enumeration():
 
 def test_solve_mod_roundtrip_and_unsolvable():
     rng = generator(31)
-    for n in (2, 4, 6):
+    for n in (1, 2, 4, 6, 8):
         A = rng.integers(-3, 4, size=(5, 3))
         x = rng.integers(0, n, size=3)
         b = np.mod(A @ x, n)
         got = solve_mod(A, b, n)
-        assert got is not None
+        assert got is not None and got.shape == (3,)
         assert np.array_equal(np.mod(A @ got, n), b)
     assert solve_mod(np.array([[2]]), np.array([1]), 4) is None
+    # every right-hand side of a small system, against brute force: the
+    # last coordinates of the kernel generators must fold to 1 exactly
+    # when some x solves it
+    for n in (4, 6):
+        A = np.array([[2, 0], [0, 3], [2, 3]])
+        images = {tuple(np.mod(A @ np.array([x0, x1]), n))
+                  for x0 in range(n) for x1 in range(n)}
+        for b in np.ndindex(n, n, n):
+            got = solve_mod(A, np.array(b), n)
+            assert (got is not None) == (b in images)
+            if got is not None:
+                assert tuple(np.mod(A @ got, n)) == b
 
 
 def _filtered_cocycles(group, n):
@@ -188,6 +202,27 @@ def test_oracle_at_modulus_one_stays_small():
     assert peak < 16
 
 
+def test_second_cohomology_peak_at_order_32():
+    # the quotient SNF runs on the transposed relations and keeps V and
+    # Vinv only; dense m^2 x m^2 row transforms U and Uinv would trace
+    # 66.1 MiB here
+    h2, peak = _peak_mib(second_cohomology, dihedral(16), 2)
+    assert (h2.z2_size, h2.b2_size, h2.size) == (2**33, 2**30, 8)
+    assert h2.invariant_factors == [2, 2, 2]
+    assert peak < 56
+
+
+def test_cohomologous_peak_at_order_32():
+    # the kernel of the m^2 x (m + 1) matrix [delta^1 | -b] carries an
+    # (m + 1)^2 column transform; an m^2 x m^2 row transform of delta^1
+    # would trace 19.5 MiB here
+    G = dihedral(16)
+    c = delta(random_cochain(G, 2, 1, generator(53)))
+    witness, peak = _peak_mib(cohomologous, c, Cochain.zeros(G, 2, 2))
+    assert witness is not None and (delta(witness) - c).is_zero
+    assert peak < 4
+
+
 def test_oracle_peak_memory_on_z3_mod4():
     # a filter over all 4^9 cochains traces about 126 MiB
     oracle, peak = _peak_mib(exhaustive_second_cohomology, Z3, 4)
@@ -216,31 +251,42 @@ def test_oracle_admission_precedes_every_delta(monkeypatch):
     assert calls == ["delta_stack", "delta_stack"]
 
 
+def _random_cocycle(h2, rng):
+    """A uniform element of Z^2: a uniform class representative plus the
+    delta of a uniform 1-cochain, which is uniform on B^2."""
+    rep = h2.representatives[int(rng.integers(h2.size))]
+    return rep + delta(random_cochain(h2.group, h2.modulus, 1, rng))
+
+
 def test_z2_mod2_space_sizes():
-    zs = cocycle_space(Z2, 2)
-    bs = coboundary_space(Z2, 2)
+    h2 = second_cohomology(Z2, 2)
     oracle = exhaustive_second_cohomology(Z2, 2)
     # the exhaustive filter over all 16 maps is the ground truth
-    assert zs.size == oracle.z2_size == 4
-    assert bs.size == oracle.b2_size == 2
+    assert h2.z2_size == oracle.z2_size == 4
+    assert h2.b2_size == oracle.b2_size == 2
     assert len(exhaustive_cocycles(Z2, 2)) == 4
 
 
 def test_coboundary_space_n1_and_z3():
-    assert coboundary_space(S3, 1).size == 1
-    bs = coboundary_space(Z3, 3)
-    assert bs.size == len(exhaustive_coboundaries(Z3, 3)) == 9
-    for gen in bs.generators:
-        assert gen.degree == 2
+    assert second_cohomology(S3, 1).b2_size == 1
+    assert second_cohomology(Z3, 3).b2_size \
+        == len(exhaustive_coboundaries(Z3, 3)) == 9
 
 
 def test_cocycle_space_generators_span():
-    zs = cocycle_space(V4, 2)
-    for gen in zs.generators:
+    h2 = second_cohomology(V4, 2)
+    for gen in h2.z2_generators:
         assert delta(gen).is_zero
     rng = generator(7)
     for _ in range(10):
-        assert delta(zs.sample(rng)).is_zero
+        assert delta(_random_cocycle(h2, rng)).is_zero
+    # the representatives moved by every coboundary are exactly Z^2, so
+    # the draws range over all of it
+    moved = {(rep + delta(Cochain(V4, 2, 1, d))).values.tobytes()
+             for rep in h2.representatives
+             for d in cohomology.all_cochain_values(V4, 2, 1)}
+    assert moved == {c.tobytes() for c in exhaustive_cocycles(V4, 2)}
+    assert len(moved) == h2.z2_size == 32
 
 
 def test_second_cohomology_matches_oracle():
@@ -263,9 +309,9 @@ def test_second_cohomology_counts():
 
 def test_size_factorization_holds():
     for group, n in ((V4, 2), (Z4 := cyclic(4), 2), (Z4, 4), (S3, 2), (S3, 3)):
-        zs, bs, h2 = cocycle_space(group, n), coboundary_space(group, n), \
-            second_cohomology(group, n)
-        assert zs.size == bs.size * h2.size
+        h2 = second_cohomology(group, n)
+        full_size, _, _, _ = kernel_mod(delta_matrix(group, 2), n)
+        assert full_size == h2.z2_size == h2.b2_size * h2.size
 
 
 def test_representatives_pairwise_non_cohomologous():
@@ -308,9 +354,9 @@ def test_representatives_beyond_oracle(group, n, factors):
 
 def test_cohomologous_roundtrip():
     rng = generator(41)
-    zs = cocycle_space(S3, 2)
+    h2 = second_cohomology(S3, 2)
     for _ in range(10):
-        c1 = zs.sample(rng)
+        c1 = _random_cocycle(h2, rng)
         d = random_cochain(S3, 2, 1, rng)
         c2 = c1 + delta(d)
         witness = cohomologous(c1, c2)
@@ -320,7 +366,7 @@ def test_cohomologous_roundtrip():
 
 def test_cohomologous_trivial_witness():
     rng = generator(43)
-    c = cocycle_space(Z3, 3).sample(rng)
+    c = _random_cocycle(second_cohomology(Z3, 3), rng)
     w = cohomologous(c, c)
     assert w is not None and (delta(w)).is_zero
 
@@ -363,6 +409,9 @@ def test_z4_cocycle_not_cohomologous_to_zero():
 
 def test_capacity_guards():
     with pytest.raises(CapacityError):
-        cocycle_space(Z2, 9)
+        second_cohomology(Z2, 9)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="modulus"):
+            second_cohomology(Z2, n)
     with pytest.raises(CapacityError):
         exhaustive_second_cohomology(dihedral(8), 3)

@@ -2,13 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from centrex import forms, loops, periods, su, verify
 from centrex.loops import (DiscreteLoop, LoopTangent, circle_integral,
-                           constant_loop, displace, format_loop, parse_loop,
-                           random_smooth_loop, random_smooth_tangent,
+                           constant_loop, displace, random_smooth_loop, random_smooth_tangent,
                            right_log_derivative, theta_derivative,
                            theta_grid, zero_tangent)
 from centrex.su import assert_algebra, assert_special_unitary, exp_stack
@@ -135,20 +132,6 @@ def test_displace_first_order():
     assert np.abs(moved.samples - lin).max() <= 1e-11
 
 
-def test_loop_file_roundtrip():
-    g = random_smooth_loop(13, 2, N, 2)
-    back = parse_loop(format_loop(g))
-    assert np.array_equal(back.samples, g.samples)
-    assert back.dim == 2 and back.num_samples == N
-
-
-def test_loop_file_errors():
-    with pytest.raises(ValueError, match="header"):
-        parse_loop("x 64\n")
-    with pytest.raises(ValueError, match="re/im"):
-        parse_loop("2 16\n1 0\n")
-
-
 def test_zero_tangent_shape():
     z = zero_tangent(3, N)
     assert z.samples.shape == (N, 3, 3)
@@ -197,15 +180,18 @@ def test_non_finite_samples_rejected(fill):
     x = random_smooth_tangent(3, 2, 16, 2).samples.copy()
     x[5, 1, 1] = fill
     _rejected(lambda: LoopTangent(x))
-    tokens = format_loop(random_smooth_loop(3, 2, 16, 2)).split()
-    tokens[2] = repr(fill)
-    _rejected(lambda: parse_loop(" ".join(tokens)))
+    # a non-finite imaginary part alone
+    g = random_smooth_loop(3, 2, 16, 2).samples.copy()
+    g[5, 0, 1] = complex(0.0, fill)
+    _rejected(lambda: DiscreteLoop(g))
+    x = random_smooth_tangent(3, 2, 16, 2).samples.copy()
+    x[5, 1, 1] = complex(0.0, fill)
+    _rejected(lambda: LoopTangent(x))
 
 
 def test_empty_matrices_rejected():
     _rejected(lambda: DiscreteLoop(np.zeros((16, 0, 0))))
     _rejected(lambda: LoopTangent(np.zeros((16, 0, 0))))
-    _rejected(lambda: parse_loop("0 16\n"))
 
 
 
@@ -220,36 +206,6 @@ def test_non_finite_scalars_rejected(fill):
     # the stacked displacement rejects one bad step among good ones
     stack = LoopTangent(np.stack((x.samples, x.samples)))
     _rejected(lambda: displace(g, stack, np.array([0.5, fill])))
-
-_LOOP_TOKENS = st.one_of(
-    st.integers(-3, 6), st.integers(-2**70, 2**70),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "0x1", "\u0661"]))
-
-
-def _sized_loop(header):
-    # header "n N" followed by exactly the 2 N n^2 tokens it announces
-    dim, num = header
-    return st.lists(_LOOP_TOKENS, min_size=2 * num * dim * dim,
-                    max_size=2 * num * dim * dim).map(
-        lambda body: [dim, num] + body)
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.one_of(
-    st.lists(_LOOP_TOKENS, max_size=12),
-    st.tuples(st.sampled_from([-1, 0, 1, 2, 2**62]),
-              st.sampled_from([-16, 0, 4, 16, 2**62])).map(list),
-    st.tuples(st.sampled_from([0, 1, 2]),
-              st.sampled_from([0, 8, 16])).flatmap(_sized_loop)))
-def test_parse_loop_raises_only_value_error(tokens):
-    try:
-        loop = parse_loop(" ".join(map(str, tokens)))
-    except ValueError:
-        return
-    assert isinstance(loop, DiscreteLoop)
-    assert np.isfinite(loop.samples).all()
-
 
 def _count_checks(monkeypatch):
     """Count membership residuals, patched in every module binding them."""
