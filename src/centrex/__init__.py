@@ -21,24 +21,21 @@ from .groups import (FiniteGroup, GroupFingerprint, catalog, cyclic,
                      dihedral, direct_product, fingerprint, klein_four,
                      load_group, parse_group_table, format_group_table,
                      quaternion8, symmetric3)
-from .cochains import (Cochain, delta, delta_squared, face_map, is_cocycle,
-                       load_cochain, parse_cochain, format_cochain,
-                       random_cochain, violating_triple)
+from .cochains import (Cochain, delta, face_map, load_cochain, parse_cochain,
+                       format_cochain, random_cochain, violating_triple)
 from .cohomology import (SecondCohomology, cohomologous,
                          exhaustive_second_cohomology, second_cohomology)
 from .extensions import (ExtensionGroup, build_extension,
                          extension_fingerprint, is_table_isomorphism,
                          pair_isomorphism)
-from .errors import CapacityError, CocycleError, NumericalError
-from .su import (ad_invariance_residual, exponential, killing_form,
-                 project_algebra, random_algebra)
+from .errors import CapacityError, CocycleError
+from .su import project_algebra, random_algebra
 from .loops import (DiscreteLoop, LoopTangent, circle_integral,
-                    constant_loop, random_smooth_loop, random_smooth_tangent,
-                    theta_derivative)
+                    constant_loop, random_smooth_loop, random_smooth_tangent)
 from .forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
                     delta_form_alpha, eval_R, eval_alpha, face_pushforward,
                     left_invariance_check)
 from .periods import SphereFamily, sphere_period
-from .verify import GammaReport, run_gamma_battery, run_period_checks
+from .verify import run_gamma_battery, run_period_checks
 
 __all__ = [name for name in dir() if not name.startswith("_")]

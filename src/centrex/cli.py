@@ -2,11 +2,11 @@
 
 Subcommands:
 
-* ``h2`` (alias ``classify``): classify central extensions of a group
-  table file by Z/n: cocycle/coboundary counts, one representative per
-  cohomology class, extension fingerprints, the full bar differential on
-  every Z^2 generator and representative, and agreement with the
-  exhaustive oracle whenever the oracle is feasible.
+* ``h2``: classify central extensions of a group table file by Z/n:
+  cocycle/coboundary counts, one representative per cohomology class,
+  extension fingerprints, the full bar differential on every Z^2
+  generator and representative, and agreement with the exhaustive
+  oracle whenever the oracle is feasible.
 * ``extend``: build the extension defined by a cochain file, or report
   the violating triple if the cocycle condition fails.
 * ``verify``: run the seeded loop-form battery (antisymmetry,
@@ -49,13 +49,12 @@ def _parser():
                     "cocycle certification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("h2", "classify"):
-        p = sub.add_parser(name, help="classify central extensions of a "
-                                      "group table by Z/n")
-        p.add_argument("--group", required=True, help="group table file")
-        p.add_argument("--modulus", type=int, required=True,
-                       help="coefficient modulus n")
-        p.add_argument("--out", help="write the JSON report here")
+    p = sub.add_parser("h2", help="classify central extensions of a group "
+                                  "table by Z/n")
+    p.add_argument("--group", required=True, help="group table file")
+    p.add_argument("--modulus", type=int, required=True,
+                   help="coefficient modulus n")
+    p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("extend", help="build the extension of a cochain file")
     p.add_argument("--group", required=True, help="group table file")
@@ -114,7 +113,7 @@ def _full_delta_zero(h2):
     return np.concatenate(closed)
 
 
-def _cmd_h2(args, command):
+def _cmd_h2(args):
     group = load_group(args.group)
     n = args.modulus
     h2 = second_cohomology(group, n)
@@ -182,7 +181,7 @@ def _cmd_h2(args, command):
     }
     params = {"group": args.group, "modulus": n}
     inputs = {"group": file_digest(args.group)}
-    return build_report(command, params, checks, payload, inputs)
+    return build_report("h2", params, checks, payload, inputs)
 
 
 def _cmd_extend(args):
@@ -219,11 +218,10 @@ def _cmd_extend(args):
 
 
 def _cmd_verify(args):
-    gamma = run_gamma_battery(dim=args.dim, samples=args.samples,
-                              modes=args.modes, trials=args.trials,
-                              seed=args.seed,
-                              alpha_sign=-1.0 if args.negate_alpha else 1.0)
-    checks = gamma.checks if args.trials > 0 else []
+    checks = run_gamma_battery(dim=args.dim, samples=args.samples,
+                               modes=args.modes, trials=args.trials,
+                               seed=args.seed,
+                               alpha_sign=-1.0 if args.negate_alpha else 1.0)
     params = {
         "dim": args.dim, "samples": args.samples, "modes": args.modes,
         "seed": args.seed, "trials": args.trials,
@@ -267,8 +265,8 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     started = time.perf_counter()
     try:
-        if args.command in ("h2", "classify"):
-            report = _cmd_h2(args, args.command)
+        if args.command == "h2":
+            report = _cmd_h2(args)
         elif args.command == "extend":
             report = _cmd_extend(args)
         elif args.command == "verify":

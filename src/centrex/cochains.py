@@ -188,17 +188,6 @@ def delta(cochain):
                                cochain.degree, cochain.values))
 
 
-def delta_squared(cochain):
-    """delta(delta(c)); identically zero by the simplicial identities."""
-    return delta(delta(cochain))
-
-
-def is_cocycle(cochain):
-    if cochain.degree != 2:
-        raise ValueError("cocycle condition applies to degree-2 cochains")
-    return delta(cochain).is_zero
-
-
 def violating_triple(cochain):
     """First (g, h, k) where the cocycle condition fails, or None."""
     residual = delta(cochain).values

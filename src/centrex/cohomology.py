@@ -275,7 +275,7 @@ class SecondCohomology:
     z2_generators: list
 
 
-def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
+def second_cohomology(group, n):
     """H^2 = Z^2 / B^2 with one representative cocycle per class."""
     check_capacity(group, n)
     m = group.order
@@ -287,14 +287,16 @@ def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
     # and it is dropped before the quotient
     A2 = delta_matrix(group, 2, last=generating_set(group.table))
     np.mod(A2, n, out=A2)
-    z2_size, z2_gens, _, res2 = kernel_mod(A2.view(_Reduced), n)
+    res2 = smith_normal_form(A2.view(_Reduced), n)
     del A2
     A1 = delta_matrix(group, 1)
     ker1_size, _, _, _ = kernel_mod(A1, n)
     b2_size = n**m // ker1_size
     # in the coordinates Vinv2 x, Z^2 is the sum of the cyclic groups
     # scale_i Z/n, of orders n / scale_i
-    orders = np.array(_cyclic_orders(res2, k, n), dtype=np.int64)
+    cyclic = _cyclic_orders(res2, k, n)
+    z2_size = prod(cyclic)
+    orders = np.array(cyclic, dtype=np.int64)
     scale = n // orders
     W = res2.Vinv @ A1 % n
     if np.any(W % scale[:, None]):
@@ -306,19 +308,22 @@ def second_cohomology(group, n, max_classes=MAX_CLASS_ENUMERATION):
         np.concatenate([(W // scale[:, None]).T, np.diag(orders)]), n)
     factors = _cyclic_orders(res3, k, n)
     size = prod(factors)
-    if size > max_classes:
+    if size > MAX_CLASS_ENUMERATION:
         raise CapacityError("H^2 has %d classes; enumeration capped at %d"
-                            % (size, max_classes))
+                            % (size, MAX_CLASS_ENUMERATION))
     live = [j for j, f in enumerate(factors) if f > 1]
     combos = np.array(list(product(*(range(factors[j]) for j in live))),
                       dtype=np.int64).reshape(size, len(live))
-    # the columns of V2 * scale generate Z^2 in cochain coordinates
+    # the columns of V2 * scale generate Z^2 in cochain coordinates; those
+    # of order above 1 are its generators
     lifts = res2.V * scale[None, :] % n
     flats = (combos @ res3.Vinv[live] % n) @ lifts.T % n
     reps = [Cochain(group, n, 2, flat) for flat in flats]
+    z2_gens = [Cochain(group, n, 2, lifts[:, i])
+               for i in np.flatnonzero(orders > 1)]
     invariants = sorted(f for f in factors if f > 1)
     return SecondCohomology(group, n, size, z2_size, b2_size, invariants,
-                            reps, [Cochain(group, n, 2, g) for g in z2_gens])
+                            reps, z2_gens)
 
 
 def cohomologous(c1, c2):

@@ -19,7 +19,3 @@ class CocycleError(ValueError):
             % (self.triple,)
         )
 
-
-class NumericalError(RuntimeError):
-    """Raised when a numerical kernel produces output violating its
-    own invariants beyond tolerance."""

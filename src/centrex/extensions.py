@@ -24,7 +24,7 @@ import numpy as np
 
 from .cochains import delta, violating_triple
 from .errors import CocycleError
-from .groups import FiniteGroup, table_fingerprint
+from .groups import table_fingerprint
 
 
 class ExtensionGroup:
@@ -54,40 +54,14 @@ class ExtensionGroup:
         a, g = idx // m, idx % m
         table = (((a[:, None] + a[None, :] + c[g[:, None], g[None, :]]) % n)
                  * m + base.table[g[:, None], g[None, :]])
-        c_ee = int(c[0, 0])
-        # (a, g)^-1 = (-c(e, e) - a - c(g, g^-1), g^-1)
-        ginv = base.inverse[g]
-        inverse = ((-c_ee - a - c[g, ginv]) % n) * m + ginv
         table.setflags(write=False)
-        inverse.setflags(write=False)
         self.base = base
         self.modulus = n
         self.cocycle = cocycle
         self.table = table
         self.order = n * m
-        self.identity = ((-c_ee) % n) * m
-        self.inverse = inverse
+        self.identity = (-int(c[0, 0]) % n) * m
         self.name = "ext(%s, n=%d)" % (base.name, n)
-
-    def pair_index(self, a, g):
-        return int(a) % self.modulus * self.base.order + int(g)
-
-    def project(self, index):
-        return int(index) % self.base.order
-
-    def mul(self, x, y):
-        return int(self.table[x, y])
-
-    def inv(self, x):
-        return int(self.inverse[x])
-
-    def to_finite_group(self):
-        """Relabel so the identity sits at index 0 (for table file output)."""
-        e = self.identity
-        sigma = np.arange(self.order)
-        sigma[[0, e]] = sigma[[e, 0]]
-        table = sigma[self.table[sigma[:, None], sigma[None, :]]]
-        return FiniteGroup(table, name=self.name)
 
     def __repr__(self):
         return "ExtensionGroup(%s, order=%d)" % (self.name, self.order)

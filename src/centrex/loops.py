@@ -64,13 +64,17 @@ class _Sampled:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = _ingest(self.samples, type(self).__name__)
+        # a copy, so that no array or view the caller keeps can write to
+        # (or be frozen with) the validated samples
+        samples = _ingest(np.array(self.samples, dtype=np.complex128,
+                                   order="C"), type(self).__name__)
         self._check_members(samples)
         object.__setattr__(self, "samples", samples)
 
     @classmethod
     def _trusted(cls, samples):
-        """Store samples that are members by construction, unchecked."""
+        """Store samples that are members by construction, unchecked.
+        They must be a fresh array: it is stored as it is and frozen."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "samples", _ingest(samples, cls.__name__))
         return obj
@@ -129,16 +133,10 @@ class LoopTangent(_Sampled):
     __mul__ = __rmul__
 
 
-def constant_loop(dim, num_samples, matrix=None):
-    if matrix is None:
-        return DiscreteLoop._trusted(
-            np.broadcast_to(np.eye(dim), (num_samples, dim, dim)))
-    return DiscreteLoop(np.broadcast_to(matrix, (num_samples, dim, dim)).copy())
-
-
-def zero_tangent(dim, num_samples):
-    return LoopTangent._trusted(np.zeros((num_samples, dim, dim),
-                                         dtype=np.complex128))
+def constant_loop(dim, num_samples):
+    """The constant identity loop."""
+    return DiscreteLoop._trusted(
+        np.broadcast_to(np.eye(dim), (num_samples, dim, dim)))
 
 
 def conjugate_tangent(conjugator, tangent):
@@ -172,13 +170,6 @@ def spectral_derivative(values):
     spec = np.fft.fft(values, axis=-3)
     spec *= (1j * k)[:, None, None]
     return np.fft.ifft(spec, axis=-3, out=spec)
-
-
-def theta_derivative(loop):
-    """d/dtheta of a loop (or of any (..., N, n, n) sample array)."""
-    samples = loop.samples if isinstance(loop, (DiscreteLoop, LoopTangent)) \
-        else np.asarray(loop, dtype=np.complex128)
-    return spectral_derivative(samples)
 
 
 def right_log_derivative(loop):

@@ -49,10 +49,9 @@ def write_report(report, path):
 def human_summary(report):
     lines = ["%s (centrex %s)" % (report["command"], report["version"])]
     for check in report["checks"]:
-        residual = check["residual"]
-        shown = "none" if residual is None else "%.6e" % residual
         lines.append("  %-28s residual=%-13s tolerance=%-10s %s" % (
-            check["name"], shown, "%.1e" % check["tolerance"],
+            check["name"], "%.6e" % check["residual"],
+            "%.1e" % check["tolerance"],
             "PASS" if check["passed"] else "FAIL"))
     lines.append("overall: %s" % ("PASS" if report["all_passed"] else "FAIL"))
     return "\n".join(lines)

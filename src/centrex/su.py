@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError
-
 UNITARY_TOL = 1e-10
 ALGEBRA_TOL = 1e-12
-EXP_OUTPUT_TOL = 1e-9
 
 
 def _dagger(a):
@@ -120,24 +117,9 @@ def assert_algebra(x, tol=ALGEBRA_TOL):
             "(skew-Hermiticity %.3e, trace %.3e)" % (tol, frob, tr))
 
 
-def killing_form(x, y):
-    """<X, Y> = -tr(XY); real for skew-Hermitian arguments."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    if x.shape != y.shape or x.shape[-1] != x.shape[-2]:
-        raise ValueError("killing_form needs two n x n matrices of equal n")
-    return float(-np.trace(x @ y).real)
-
-
 def killing_form_samples(x, y):
     """Samplewise -tr(XY).real over stacked (..., n, n) arrays."""
     return -np.einsum("...ab,...ba->...", x, y).real
-
-
-def ad_invariance_residual(g, x, y):
-    """|<gXg^-1, gYg^-1> - <X, Y>|: zero for the invariant form."""
-    gi = _dagger(g)
-    return abs(killing_form(g @ x @ gi, g @ y @ gi) - killing_form(x, y))
 
 
 def project_algebra(m):
@@ -219,18 +201,6 @@ def _exp_su3(x):
            + (-1j * f1)[..., None, None] * x)
     out[..., (0, 1, 2), (0, 1, 2)] += f0[..., None]
     return out
-
-
-def exponential(x, tol=EXP_OUTPUT_TOL):
-    """Exponential of a single su(n) element, validated into SU(n)."""
-    x = np.asarray(x, dtype=np.complex128)
-    assert_algebra(x, tol=1e-10)
-    g = exp_stack(x)
-    frob, det = unitary_residual(g)
-    if frob > tol or det > tol:
-        raise NumericalError(
-            "exponential left SU(n): unitarity %.3e, det %.3e" % (frob, det))
-    return g
 
 
 def random_algebra(rng, n, scale=1.0):

@@ -10,7 +10,7 @@ row carries both the residual and the tolerance it was judged against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,7 @@ MAX_PERIOD_ROW = 2**16
 @dataclass
 class CheckResult:
     name: str
-    residual: float | None
+    residual: float
     tolerance: float
     passed: bool
     trials: int
@@ -84,19 +84,6 @@ class CheckResult:
             "passed": self.passed,
             "trials": self.trials,
         }
-
-
-@dataclass
-class GammaReport:
-    """Residuals and verdicts for the membership identities of the pair
-    (alpha, R): closed integral R, delta R = d alpha, delta alpha = 0,
-    antisymmetry/bilinearity, left invariance."""
-
-    checks: list = field(default_factory=list)
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.checks)
 
 
 # Trials are synthesized and checked in stacks of _CHUNK_SAMPLES // samples
@@ -148,7 +135,8 @@ def check_period_capacity(grid_u, grid_phi, samples):
 
 def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
                       alpha_sign=1.0):
-    """The full invariant battery; returns a GammaReport (period excluded).
+    """The full invariant battery; returns one CheckResult per identity
+    of the pair (alpha, R), period excluded, or [] at trials = 0.
 
     Trials are synthesized and checked in stacks; each check's residual
     is the worst over all trials.  ``alpha_sign`` scales d alpha in the
@@ -163,6 +151,8 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
         raise ValueError("seed must be in 0..2^64-1, got %d" % seed)
     check_battery_input(samples, modes)
     check_battery_capacity(dim, samples, modes, trials)
+    if not trials:
+        return []
     worst = {name: 0.0 for name in TOLERANCES}
     chunk = max(1, _CHUNK_SAMPLES // samples)
     for first in range(0, trials, chunk):
@@ -188,8 +178,7 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
             ]),
             "delta_alpha": abs(delta_form_alpha((g1, g2, g3), (x1, x2, x3))),
             "closedness": abs(d_R_numeric(x1, x2, x3)),
-            "pushforward_merge": pushforward_fd_residual(
-                g1, g2, x1, x2, h=PUSHFORWARD_STEP),
+            "pushforward_merge": pushforward_fd_residual(g1, g2, x1, x2),
             "resolution_doubling": doubling_residual(
                 x1, y1, g2, seed, modes, s),
             "left_invariance": left_invariance_check(g3, g1, g2, x1, y1),
@@ -201,24 +190,17 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
         for name, values in residuals.items():
             worst[name] = max(worst[name], float(np.max(values)))
 
-    checks = []
-    for name, tolerance in sorted(TOLERANCES.items()):
-        residual = worst[name] if trials else None
-        checks.append(CheckResult(
-            name=name,
-            residual=residual,
-            tolerance=tolerance,
-            passed=(residual is None or residual <= tolerance),
-            trials=trials,
-        ))
-    return GammaReport(checks=checks)
+    return [CheckResult(name=name, residual=worst[name], tolerance=tolerance,
+                        passed=worst[name] <= tolerance, trials=trials)
+            for name, tolerance in sorted(TOLERANCES.items())]
 
 
-def pushforward_fd_residual(g1, g2, x1, x2, h=PUSHFORWARD_STEP):
+def pushforward_fd_residual(g1, g2, x1, x2):
     """Merge-face tangent formula vs direct differentiation of the
     product curve P(t) = g1 exp(tX1) g2 exp(tX2) by the fourth-order
-    stencil (8(P(h) - P(-h)) - (P(2h) - P(-2h))) / 12h; the worst sample
-    of each stack entry."""
+    stencil (8(P(h) - P(-h)) - (P(2h) - P(-2h))) / 12h with
+    h = PUSHFORWARD_STEP; the worst sample of each stack entry."""
+    h = PUSHFORWARD_STEP
     (_,), (tan,) = face_pushforward(1, (g1, g2), (x1, x2))
 
     def product(t):
@@ -242,8 +224,7 @@ def doubling_residual(x, y, g, seed, modes, streams):
                                  abs(eval_alpha(g, x) - eval_alpha(g_f, x_f))))
 
 
-def run_period_checks(grid=(64, 64), samples=128, degenerate=False,
-                      orientation=1):
+def run_period_checks(grid=(64, 64), samples=128, degenerate=False):
     """Period of R over the generator family at the given and the doubled
     grid resolutions; integrality asks the raw period to sit within
     PERIOD_TOLERANCE of one nonzero integer at both (within
@@ -256,7 +237,6 @@ def run_period_checks(grid=(64, 64), samples=128, degenerate=False,
     families = [SphereFamily(grid_u=grid[0] * factor,
                              grid_phi=grid[1] * factor,
                              num_samples=samples,
-                             orientation=orientation,
                              degenerate=degenerate)
                 for factor in (1, 2)]
     check_period_capacity(grid[0], grid[1], samples)

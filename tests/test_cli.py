@@ -134,7 +134,8 @@ def test_full_delta_certificate_on_d6(monkeypatch):
     monkeypatch.setattr(cohomology, "generating_set",
                         lambda table: real(table)[:-1])
     # a dropped generator leaves 8192 "classes"; enumerate them anyway
-    h2 = cohomology.second_cohomology(d6, 2, max_classes=2**13)
+    monkeypatch.setattr(cohomology, "MAX_CLASS_ENUMERATION", 2**13)
+    h2 = cohomology.second_cohomology(d6, 2)
     closed = _full_delta_zero(h2)
     assert len(closed) == len(h2.z2_generators) + h2.size
     assert not closed[:len(h2.z2_generators)].all()
@@ -142,17 +143,7 @@ def test_full_delta_certificate_on_d6(monkeypatch):
 
 
 def test_h2_modulus_one(files):
-    assert main(["classify", "--group", files["z3"], "--modulus", "1"]) == 0
-
-
-def test_classify_alias_matches_h2(files, tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    main(["h2", "--group", files["z2"], "--modulus", "2", "--out", str(a)])
-    main(["classify", "--group", files["z2"], "--modulus", "2",
-          "--out", str(b)])
-    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-    assert ra["payload"] == rb["payload"]
-    assert rb["command"] == "classify"
+    assert main(["h2", "--group", files["z3"], "--modulus", "1"]) == 0
 
 
 def test_extend_zero_cochain(files, tmp_path):
@@ -304,6 +295,15 @@ def test_verify_zero_trials_empty_report(tmp_path):
     assert report["checks"] == [] and report["all_passed"]
 
 
+def test_gamma_battery_rows():
+    # no trials, no rows; otherwise one row per identity, each residual
+    # a float worst case
+    assert verify.run_gamma_battery(trials=0) == []
+    checks = verify.run_gamma_battery(samples=64, trials=2)
+    assert [c.name for c in checks] == sorted(verify.TOLERANCES)
+    assert all(type(c.residual) is float and c.trials == 2 for c in checks)
+
+
 def test_verify_negate_alpha_fails(tmp_path):
     out = tmp_path / "neg.json"
     assert main(["verify", "--trials", "3", "--samples", "64",
@@ -446,6 +446,7 @@ def test_period_bad_grid():
 def test_usage_errors(files):
     assert main(["h2", "--group", "/nonexistent", "--modulus", "2"]) == 2
     assert main(["nonsense"]) == 2
+    assert main(["classify", "--group", files["z2"], "--modulus", "2"]) == 2
     assert main([]) == 2
 
 

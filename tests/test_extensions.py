@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from centrex.cochains import Cochain, delta, is_cocycle, random_cochain
+from centrex.cochains import Cochain, delta, random_cochain
 from centrex.cohomology import cohomologous, second_cohomology
 from centrex.errors import CocycleError
 from centrex.extensions import (build_extension, extension_fingerprint,
@@ -54,7 +54,7 @@ def test_build_succeeds_iff_cocycle_small_sweep():
     for bits in range(16):
         vals = [(bits >> i) & 1 for i in range(4)]
         c = Cochain(Z2, 2, 2, vals)
-        if is_cocycle(c):
+        if delta(c).is_zero:
             ext = build_extension(c)
             assert ext.order == 4
         else:
@@ -63,10 +63,11 @@ def test_build_succeeds_iff_cocycle_small_sweep():
 
 
 def test_unnormalized_cocycle_identity():
-    # constant-shifted Z4 cocycle: identity moves to (-c(e,e), e)
+    # constant-shifted Z4 cocycle: identity moves to (-c(e,e), e), the
+    # pair (a, g) sitting at index a * m + g
     c = Cochain(Z2, 2, 2, [1, 1, 1, 0])
     ext = build_extension(c)
-    assert ext.identity == ext.pair_index(1, 0)
+    assert ext.identity == 1 * Z2.order + 0
     assert table_fingerprint(ext.table, ext.identity) == fingerprint(cyclic(4))
 
 
@@ -76,14 +77,13 @@ def test_projection_and_central_kernel():
     reps = second_cohomology(V4, 2).representatives
     ext = build_extension(reps[int(rng.integers(len(reps)))]
                           + delta(random_cochain(V4, 2, 1, rng)))
-    m = V4.order
+    m, t = V4.order, ext.table
     for x in range(ext.order):
         for y in range(ext.order):
-            assert ext.project(ext.mul(x, y)) == V4.mul(ext.project(x),
-                                                        ext.project(y))
-    kernel = [ext.pair_index(a, 0) for a in range(2)]
+            assert t[x, y] % m == V4.mul(x % m, y % m)
+    kernel = [a * m for a in range(2)]
     for z in kernel:
-        assert all(ext.mul(z, x) == ext.mul(x, z) for x in range(ext.order))
+        assert (t[z] == t[:, z]).all()
 
 
 def test_q8_appears_exactly_once_over_v4():
@@ -120,14 +120,6 @@ def test_pair_isomorphism_rejects_bad_witness():
         pair_isomorphism(c0, c1, bad)
 
 
-def test_relabeled_finite_group_view():
-    c = Cochain(Z2, 2, 2, [1, 1, 1, 0])
-    ext = build_extension(c)
-    g = ext.to_finite_group()
-    assert g.order == 4
-    assert fingerprint(g) == table_fingerprint(ext.table, ext.identity)
-
-
 def _assert_group_axioms(ext):
     """Brute force over the whole table: each group axiom that
     ExtensionGroup derives from delta(c) = 0 instead of checking it."""
@@ -139,7 +131,8 @@ def _assert_group_axioms(ext):
     assert (np.sort(t, axis=0) == x[:, None]).all()
     # identity neutral, inverse two-sided
     assert (t[e] == x).all() and (t[:, e] == x).all()
-    assert (t[x, ext.inverse] == e).all() and (t[ext.inverse, x] == e).all()
+    inverse = np.argmax(t == e, axis=1)
+    assert (t[x, inverse] == e).all() and (t[inverse, x] == e).all()
     # (xy)z = x(yz) over all k^3 triples
     assert (t[t[:, :, None], x] == t[x[:, None, None], t[None, :, :]]).all()
     # projection (a, g) -> g is a homomorphism onto the base table

@@ -5,9 +5,9 @@ import pytest
 
 from centrex import forms, loops, periods, su, verify
 from centrex.loops import (DiscreteLoop, LoopTangent, circle_integral,
-                           constant_loop, displace, random_smooth_loop, random_smooth_tangent,
-                           right_log_derivative, theta_derivative,
-                           theta_grid, zero_tangent)
+                           constant_loop, displace, random_smooth_loop,
+                           random_smooth_tangent, right_log_derivative,
+                           spectral_derivative, theta_grid)
 from centrex.su import assert_algebra, assert_special_unitary, exp_stack
 
 H = np.array([[1j, 0], [0, -1j]])
@@ -20,20 +20,22 @@ def one_parameter_loop(num=N):
 
 
 def test_constant_loop_derivative_vanishes():
-    assert np.abs(theta_derivative(constant_loop(2, N))).max() <= 1e-13
+    assert np.abs(spectral_derivative(constant_loop(2, N).samples)).max() \
+        <= 1e-13
 
 
 def test_one_parameter_subgroup_derivative():
     g = one_parameter_loop()
-    dg = theta_derivative(g)
+    dg = spectral_derivative(g.samples)
     assert np.abs(dg[0] - H).max() <= 1e-10
 
 
 def test_leibniz_rule():
     g = random_smooth_loop(2, 2, 128, 3, stream=0)
     h = random_smooth_loop(2, 2, 128, 3, stream=1)
-    lhs = theta_derivative(g.multiply(h))
-    rhs = theta_derivative(g) @ h.samples + g.samples @ theta_derivative(h)
+    lhs = spectral_derivative(g.multiply(h).samples)
+    rhs = (spectral_derivative(g.samples) @ h.samples
+           + g.samples @ spectral_derivative(h.samples))
     assert np.abs(lhs - rhs).max() <= 1e-9
 
 
@@ -115,12 +117,13 @@ def fd_derivative8(values):
 
 def test_spectral_vs_eighth_order_fd():
     g = random_smooth_loop(23, 2, 128, 3, stream=5)
-    residual = np.abs(theta_derivative(g) - fd_derivative8(g.samples)).max()
+    residual = np.abs(spectral_derivative(g.samples)
+                      - fd_derivative8(g.samples)).max()
     assert residual <= 1e-8
     # a stack differentiates each entry along its own sample axis
     stack = random_smooth_loop(23, 2, 128, 3, stream=[5, 6, 7])
     fd = fd_derivative8(stack.samples)
-    assert np.abs(theta_derivative(stack) - fd).max() <= 1e-8
+    assert np.abs(spectral_derivative(stack.samples) - fd).max() <= 1e-8
     assert np.array_equal(fd[0], fd_derivative8(g.samples))
 
 
@@ -132,10 +135,23 @@ def test_displace_first_order():
     assert np.abs(moved.samples - lin).max() <= 1e-11
 
 
-def test_zero_tangent_shape():
-    z = zero_tangent(3, N)
-    assert z.samples.shape == (N, 3, 3)
-    assert np.abs(z.samples).max() == 0.0
+def test_construction_copies_the_callers_array():
+    # the caller's array stays writeable whether the input is accepted or
+    # rejected, and a write through a view taken before the call does not
+    # reach the validated samples
+    for cls, make, bad in (
+            (DiscreteLoop, random_smooth_loop, 5.0),
+            (LoopTangent, random_smooth_tangent, 5.0 + 1j)):
+        a = make(3, 2, N, 2).samples.copy()
+        view = a[:]
+        member = cls(a)
+        assert a.flags.writeable and view.flags.writeable
+        view[0, 0, 0] = bad
+        assert member.samples[0, 0, 0] != bad
+        member._check_members(member.samples)
+        with pytest.raises(ValueError):
+            cls(a)
+        assert a.flags.writeable
 
 
 def test_stacked_loops_and_tangents():
@@ -226,9 +242,9 @@ def _count_checks(monkeypatch):
 def test_intermediates_are_not_rechecked(monkeypatch):
     calls = _count_checks(monkeypatch)
     # 128 samples: stacks of 8 trials, so 11 trials make two stacks
-    report = verify.run_gamma_battery(dim=2, samples=128, modes=3, trials=11,
+    checks = verify.run_gamma_battery(dim=2, samples=128, modes=3, trials=11,
                                       seed=4)
-    assert report.all_passed
+    assert all(c.passed for c in checks)
     # per stack: g1-g3, x1-x3, y1, y2 and the doubled x1, y1, g2
     assert len(calls) == 2 * 11
     del calls[:]

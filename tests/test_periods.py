@@ -156,13 +156,17 @@ def test_period_samples_one_tangent_row_per_grid(monkeypatch):
 
 
 def test_gram_row_check_passes_at_both_grids():
-    for orientation in (1, -1):
-        _, checks = run_period_checks(grid=(16, 16), samples=64,
-                                      orientation=orientation)
-        assert [c.name for c in checks] == ["period_integrality",
-                                            "period_gram_row"]
-        assert all(c.passed for c in checks)
-        assert checks[1].residual <= 1e-12
+    _, checks = run_period_checks(grid=(16, 16), samples=64)
+    assert [c.name for c in checks] == ["period_integrality",
+                                        "period_gram_row"]
+    assert all(c.passed for c in checks)
+    assert checks[1].residual <= 1e-12
+    # the reversed family, at the same two grids
+    for grid in (16, 32):
+        family = SphereFamily(grid, grid, 64, orientation=-1)
+        assert sphere_period(family) == pytest.approx(2.0, abs=1e-3)
+        gram, full = periods.equator_rows(family)
+        assert abs(gram - full) <= 1e-12 * (1.0 + abs(full))
 
 
 def test_gram_row_check_catches_a_transposed_gram(monkeypatch):

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrex import forms, loops, su, verify
-from centrex.errors import NumericalError
 from centrex.rng import generator
 from centrex.su import (_MATMUL_UNROLL_MAX, _dagger, _det, _matmul,
-                        ad_invariance_residual, algebra_residual,
-                        assert_algebra, assert_special_unitary, exp_stack,
-                        exponential, killing_form, project_algebra,
+                        algebra_residual, assert_algebra,
+                        assert_special_unitary, exp_stack,
+                        killing_form_samples, project_algebra,
                         random_algebra, unitary_residual)
 
 H = np.array([[1j, 0], [0, -1j]])
@@ -20,25 +19,24 @@ H = np.array([[1j, 0], [0, -1j]])
 
 def test_killing_form_coroot_normalization():
     # the coroot direction in su(2) has squared length 2
-    assert killing_form(H, H) == pytest.approx(2.0, abs=1e-15)
+    assert killing_form_samples(H, H) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_killing_form_zero_and_symmetry():
     rng = generator(1)
-    assert killing_form(np.zeros((3, 3)), random_algebra(rng, 3)) == 0.0
+    assert killing_form_samples(np.zeros((3, 3)), random_algebra(rng, 3)) == 0
     for n in (2, 3):
-        for _ in range(20):
-            x, y = random_algebra(rng, n), random_algebra(rng, n)
-            assert killing_form(x, y) == pytest.approx(killing_form(y, x),
-                                                       abs=1e-14)
+        x = random_algebra(rng, n, np.ones(20))
+        y = random_algebra(rng, n, np.ones(20))
+        assert np.abs(killing_form_samples(x, y)
+                      - killing_form_samples(y, x)).max() <= 1e-14
 
 
 def test_killing_form_positive_definite():
     rng = generator(2)
     for n in (2, 3, 4):
-        for _ in range(20):
-            x = random_algebra(rng, n)
-            assert killing_form(x, x) > 0
+        x = random_algebra(rng, n, np.ones(20))
+        assert (killing_form_samples(x, x) > 0).all()
     # basis directions: skew-Hermitian elementary combinations
     for n in (2, 3):
         for a in range(n):
@@ -47,72 +45,85 @@ def test_killing_form_positive_definite():
                 e[a, b], e[b, a] = 1.0, -1.0
                 f = np.zeros((n, n), dtype=complex)
                 f[a, b] = f[b, a] = 1j
-                assert killing_form(e, e) > 0 and killing_form(f, f) > 0
+                assert killing_form_samples(np.stack([e, f]),
+                                            np.stack([e, f])).min() > 0
 
 
 def test_coroot_normalization_all_dimensions():
-    # diag(i, -i, 0, ...) is a coroot direction in every su(n)
+    # diag(i, -i, 0, ...) is a coroot direction in every su(n), single
+    # and stacked along the sample axis of a loop
     for n in (2, 3, 4):
         h = np.zeros((n, n), dtype=complex)
         h[0, 0], h[1, 1] = 1j, -1j
-        assert killing_form(h, h) == pytest.approx(2.0, abs=1e-15)
+        assert abs(killing_form_samples(h, h) - 2.0) <= 1e-15
+        stack = np.broadcast_to(h, (3, 16, n, n))
+        assert np.abs(killing_form_samples(stack, stack) - 2.0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_killing_form_stack_matches_per_matrix_trace(n):
+    rng = generator(4)
+    x = random_algebra(rng, n, np.ones((3, 16)))
+    y = random_algebra(rng, n, np.ones((3, 16)))
+    got = killing_form_samples(x, y)
+    assert got.shape == (3, 16)
+    want = np.array([[-np.trace(x[b, j] @ y[b, j]).real for j in range(16)]
+                     for b in range(3)])
+    assert np.abs(got - want).max() <= 1e-14
 
 
 def test_killing_form_real_bilinear():
     rng = generator(3)
     x, y, z = (random_algebra(rng, 3) for _ in range(3))
-    lhs = killing_form(1.25 * x - 0.5 * y, z)
-    rhs = 1.25 * killing_form(x, z) - 0.5 * killing_form(y, z)
+    lhs = killing_form_samples(1.25 * x - 0.5 * y, z)
+    rhs = 1.25 * killing_form_samples(x, z) - 0.5 * killing_form_samples(y, z)
     assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
-def test_killing_form_dimension_mismatch():
-    with pytest.raises(ValueError):
-        killing_form(np.zeros((2, 2)), np.zeros((3, 3)))
-
-
 def test_ad_invariance():
+    # |<g X g^-1, g Y g^-1> - <X, Y>| over a stack of random g, X, Y
     rng = generator(5)
     for n in (2, 3):
-        for _ in range(100):
-            g = exponential(random_algebra(rng, n))
-            x, y = random_algebra(rng, n), random_algebra(rng, n)
-            assert ad_invariance_residual(g, x, y) <= 1e-10
-    assert ad_invariance_residual(np.eye(2), H, H) == 0.0
+        g = exp_stack(random_algebra(rng, n, np.ones(100)))
+        x = random_algebra(rng, n, np.ones(100))
+        y = random_algebra(rng, n, np.ones(100))
+        gi = _dagger(g)
+        gx, gy = (_matmul(_matmul(g, v), gi) for v in (x, y))
+        residual = np.abs(killing_form_samples(gx, gy)
+                          - killing_form_samples(x, y))
+        assert residual.max() <= 1e-10
 
 
 def test_exponential_special_values():
-    assert np.allclose(exponential(np.zeros((2, 2))), np.eye(2))
-    assert np.allclose(exponential(np.diag([1j * np.pi, -1j * np.pi])),
+    assert np.allclose(exp_stack(np.zeros((2, 2))), np.eye(2))
+    assert np.allclose(exp_stack(np.diag([1j * np.pi, -1j * np.pi])),
                        -np.eye(2), atol=1e-12)
 
 
 def test_exponential_inverse_law():
     rng = generator(7)
     for n in (2, 3):
-        for _ in range(25):
-            x = random_algebra(rng, n)
-            g = exponential(x)
-            assert np.abs(g @ exponential(-x) - np.eye(n)).max() <= 1e-10
+        x = random_algebra(rng, n, np.ones(25))
+        product = _matmul(exp_stack(x), exp_stack(-x))
+        assert np.abs(product - np.eye(n)).max() <= 1e-10
 
 
 def test_exponential_output_in_sun():
     rng = generator(9)
     for n in (2, 3, 4):
-        g = exponential(random_algebra(rng, n, scale=2.0))
+        g = exp_stack(random_algebra(rng, n, scale=2.0))
         assert_special_unitary(g)
 
 
 def test_exponential_respects_conjugation():
     rng = generator(11)
     for n in (2, 3):
-        for _ in range(10):
-            x = random_algebra(rng, n)
-            g = exponential(random_algebra(rng, n))
-            gi = g.conj().T
-            lhs = exponential(project_algebra(g @ x @ gi))
-            rhs = g @ exponential(x) @ gi
-            assert np.abs(lhs - rhs).max() <= 1e-9
+        x = random_algebra(rng, n, np.ones(10))
+        g = exp_stack(random_algebra(rng, n, np.ones(10)))
+        gi = _dagger(g)
+        lhs = exp_stack(project_algebra(_matmul(_matmul(g, x), gi)))
+        rhs = _matmul(_matmul(g, exp_stack(x)), gi)
+        assert np.abs(lhs - rhs).max() <= 1e-9
 
 
 def _degenerate_su3_cases():
@@ -155,7 +166,7 @@ def test_small_n_paths_avoid_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", refuse)
     rng = generator(21)
     for n in (1, 2, 3):
-        g = exponential(random_algebra(rng, n, np.full(4, 0.7)))
+        g = exp_stack(random_algebra(rng, n, np.full(4, 0.7)))
         assert max(unitary_residual(g)) <= 1e-13
 
 
@@ -196,10 +207,9 @@ def test_matmul_matches_numpy(n):
 
 
 def test_loop_side_products_go_through_the_kernel():
-    # outside _matmul itself, the only `@` left in these modules are the
-    # single-matrix helpers and the n >= 4 eigh path of exp_stack
-    allowed = {"_matmul", "killing_form", "ad_invariance_residual",
-               "exp_stack"}
+    # outside _matmul itself, the only `@` left in these modules is the
+    # n >= 4 eigh path of exp_stack
+    allowed = {"_matmul", "exp_stack"}
     for module in (su, loops, forms, verify):
         tree = ast.parse(inspect.getsource(module))
         for node in ast.walk(tree):
@@ -209,11 +219,6 @@ def test_loop_side_products_go_through_the_kernel():
                     and isinstance(op.op, ast.MatMult)]
             assert not uses or node.name in allowed, (module.__name__,
                                                       node.name)
-
-
-def test_exponential_rejects_non_algebra_input():
-    with pytest.raises(ValueError):
-        exponential(np.eye(2))
 
 
 def test_project_algebra_idempotent_and_fixes_algebra():
