@@ -145,7 +145,8 @@ def _face_grids(table, grids, i):
     """Pull the index grids of G^{p+1} back through the face d_i.
 
     The array form of ``face_map``: ``delta_stack`` indexes cochains with
-    the result and ``cohomology.delta_matrix`` flattens it into columns.
+    the result, ``cohomology.delta_matrix`` flattens it into columns and
+    ``cohomology._light_rows`` into rows of the lift.
     """
     q = len(grids)
     if i == 0:

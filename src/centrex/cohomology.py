@@ -23,6 +23,33 @@ I, 1961, section 1.2; see groups._check_associative).  So once they contain
 S they are all of G.  ``groups.generating_set`` picks S with
 |S| <= log2(m).
 
+Nor does Z^2 need all m^2 unknowns.  The row (g, h, s) of delta^2 reads
+
+    c(g, hs) = c(g, h) + c(gh, s) - c(h, s),
+
+so a cocycle is fixed by the m (|S| + 1) coordinates x(g) = c(g, e) and
+y(g, s) = c(g, s) (the recursion lemma; it is the cellular cochain complex
+of the Cayley complex of G, Brown, Cohomology of Groups, GTM 87,
+1982).  Take the breadth-first spanning tree of the right Cayley
+graph Cay(G, S) from e.  Every t outside {e} U S has a tree parent h with
+t = hs and h nearer to e, and the lift L: (x, y) -> c copies x and y and
+fills the column c(., t) from the column of h by the recursion.  L is
+linear and injective, since it copies its input.  The rows (g, h, s) of
+the tree edges hold by construction of L, so they vanish identically on
+its image and drop out; the edges from e to S land on coordinate columns
+and stay, as the constraints c(g, e) = c(e, s).  A cocycle c is L of its
+own coordinates, since its tree rows are the recursion, and L(x, y) is a
+cocycle exactly when the generator rows vanish on it.  So Z^2 = L(ker M),
+where M is the generator rows of delta^2 composed with L, gathered from
+the rows of L: about m^2 |S| rows by m (|S| + 1) columns instead of m^2
+columns.  A coboundary is a cocycle, so it is L of its coordinates too,
+and B^2 in coordinates is the image of delta^1 restricted to the rows
+G x ({e} U S); that restriction has the kernel of delta^1, because L
+recovers a coboundary from them.  The quotient H^2 = Z^2 / B^2 runs in
+the same coordinates, and representatives and Z^2 generators are lifted
+through L.  The full delta over all m^3 triples (``cli`` row
+``z2_full_delta``) checks every lifted cochain apart from this recursion.
+
 The oracle keeps the full delta over all m^3 triples as its reference but
 never builds the m^3 x m^2 matrix of delta^2 or the n^(m^2) cochains.  It
 splits the m^2 coordinates in half, applies delta to the n^ceil(m^2/2)
@@ -47,6 +74,10 @@ MAX_GROUP_ORDER = 32
 MAX_MODULUS = 8
 ORACLE_LIMIT = 2**20
 MAX_CLASS_ENUMERATION = 4096
+# lifted values lie in [0, n), and the lift and a row of delta^2 add at most
+# four of them with signs, so every intermediate is below 2n in magnitude:
+# int8 holds it while n <= 64 (MAX_MODULUS is 8)
+_LIFT_DTYPE = np.int8
 
 def check_capacity(group, n):
     if n < 1:
@@ -58,14 +89,11 @@ def check_capacity(group, n):
         raise CapacityError("modulus %d outside guard 1..%d" % (n, MAX_MODULUS))
 
 
-def delta_matrix(group, p, last=None):
+def delta_matrix(group, p):
     """Integer matrix of the bar differential M^p -> M^{p+1} (row-major),
-    built from the same face grids as ``delta``.  ``last`` keeps only the
-    rows whose (p+1)-tuple ends in one of its elements, in its order."""
+    built from the same face grids as ``delta``."""
     m = group.order
-    last = np.arange(m) if last is None else np.asarray(last, dtype=np.int64)
-    grids = np.indices((m,) * p + (last.size,)).reshape(p + 1, -1)
-    grids[-1] = last[grids[-1]]
+    grids = np.indices((m,) * (p + 1)).reshape(p + 1, -1)
     rows, cols = grids.shape[1], m ** p
     A = np.zeros((rows, cols), dtype=np.int64)
     row_ids = np.arange(rows)
@@ -90,11 +118,6 @@ def _xgcd(a, b):
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
-
-
-class _Reduced(np.ndarray):
-    """An int64 array already reduced into [0, n) that its caller hands
-    over: smith_normal_form diagonalizes it in place instead of copying."""
 
 
 @dataclass
@@ -198,10 +221,7 @@ def smith_normal_form(A, n):
     the pivot, so a pivot takes at most n - 1 of them.  The diagonal is
     not normalized to a divisibility chain, which none of the callers need.
     """
-    if isinstance(A, _Reduced):
-        A = A.view(np.ndarray)
-    else:
-        A = np.mod(np.asarray(A, dtype=np.int64), n)
+    A = np.mod(np.asarray(A, dtype=np.int64), n)
     r, k = A.shape
     V, Vinv = np.eye(k, dtype=np.int64), np.eye(k, dtype=np.int64)
     diag = []
@@ -275,21 +295,75 @@ class SecondCohomology:
     z2_generators: list
 
 
+def _cayley_tree(table, gens):
+    """Breadth-first spanning tree of the right Cayley graph Cay(G, S)
+    from the identity 0, as the edges (t, h, s) with t = hs for every t
+    outside {e} U S, parents before children.  The edges from e reach S
+    and are left out: those columns are coordinates.  Raises
+    AssertionError when ``gens`` does not generate the group."""
+    reached = [0]
+    seen = {0}
+    edges = []
+    for h in reached:
+        for s in gens:
+            t = int(table[h, s])
+            if t not in seen:
+                seen.add(t)
+                reached.append(t)
+                if h:
+                    edges.append((t, h, int(s)))
+    if len(reached) != table.shape[0]:
+        raise AssertionError("the set %s does not generate the group"
+                             % [int(s) for s in gens])
+    return edges
+
+
+def _lift(table, cols, tree, coords, n):
+    """L applied to a stack of coordinate vectors, one per row: the
+    degree-2 cochain values, shape (rows, m, m), that copy coordinate
+    g (|S| + 1) + j into c(g, cols[j]) and fill every other column c(., t)
+    along its tree edge (t, h, s) by c(g, hs) = c(g, h) + c(gh, s) - c(h, s).
+    """
+    m = table.shape[0]
+    c = np.zeros((len(coords), m, m), dtype=_LIFT_DTYPE)
+    c[:, :, cols] = coords.reshape(len(coords), m, len(cols))
+    for t, h, s in tree:
+        c[:, :, t] = (c[:, :, h] + c[:, table[:, h], s]
+                      - c[:, h, s][:, None]) % n
+    return c
+
+
+def _light_rows(table, L, gens, n):
+    """The rows (g, h, s), s in ``gens``, of delta^2 composed with the lift
+    L (its stack of lifted unit vectors), gathered from the rows of L
+    through the face grids of ``delta``.  Rows that vanish mod n, the tree
+    edges among them, are dropped."""
+    m = table.shape[0]
+    Lt = np.ascontiguousarray(L.reshape(len(L), m * m).T)
+    grids = np.indices((m, m, len(gens))).reshape(3, -1)
+    grids[2] = gens[grids[2]]
+    M = np.zeros((grids.shape[1], len(L)), dtype=_LIFT_DTYPE)
+    for i in range(4):
+        rows = Lt[np.ravel_multi_index(_face_grids(table, grids, i), (m, m))]
+        M += rows if i % 2 == 0 else -rows
+    np.mod(M, n, out=M)
+    return M[M.any(axis=1)]
+
+
 def second_cohomology(group, n):
-    """H^2 = Z^2 / B^2 with one representative cocycle per class."""
+    """H^2 = Z^2 / B^2 with one representative cocycle per class, solved in
+    the m (|S| + 1) coordinates of the lift L (see the module docstring)."""
     check_capacity(group, n)
-    m = group.order
-    k = m * m
-    # delta c(g, h, k) = 0 for all g, h holds for every k once it holds for
-    # the k of a generating set (Light's test, groups._check_associative),
-    # so only those m^2 |S| rows of delta^2 are built; the matrix is
-    # reduced in place and handed to the SNF, so one copy is ever held,
-    # and it is dropped before the quotient
-    A2 = delta_matrix(group, 2, last=generating_set(group.table))
-    np.mod(A2, n, out=A2)
-    res2 = smith_normal_form(A2.view(_Reduced), n)
-    del A2
-    A1 = delta_matrix(group, 1)
+    m, table = group.order, group.table
+    gens = generating_set(table)
+    cols = np.concatenate([[0], gens])
+    tree = _cayley_tree(table, gens)
+    k = m * len(cols)
+    L = _lift(table, cols, tree, np.eye(k, dtype=_LIFT_DTYPE), n)
+    res2 = smith_normal_form(_light_rows(table, L, gens, n), n)
+    del L
+    # B^2 in coordinates: delta^1 on the rows G x ({e} U S)
+    A1 = delta_matrix(group, 1).reshape(m, m, m)[:, cols].reshape(k, m)
     ker1_size, _, _, _ = kernel_mod(A1, n)
     b2_size = n**m // ker1_size
     # in the coordinates Vinv2 x, Z^2 is the sum of the cyclic groups
@@ -314,13 +388,14 @@ def second_cohomology(group, n):
     live = [j for j, f in enumerate(factors) if f > 1]
     combos = np.array(list(product(*(range(factors[j]) for j in live))),
                       dtype=np.int64).reshape(size, len(live))
-    # the columns of V2 * scale generate Z^2 in cochain coordinates; those
-    # of order above 1 are its generators
-    lifts = res2.V * scale[None, :] % n
-    flats = (combos @ res3.Vinv[live] % n) @ lifts.T % n
-    reps = [Cochain(group, n, 2, flat) for flat in flats]
-    z2_gens = [Cochain(group, n, 2, lifts[:, i])
-               for i in np.flatnonzero(orders > 1)]
+    # the columns of V2 * scale generate Z^2 in coordinates; those of order
+    # above 1 are its generators
+    basis = res2.V * scale[None, :] % n
+    coords = (combos @ res3.Vinv[live] % n) @ basis.T % n
+    reps = [Cochain(group, n, 2, c)
+            for c in _lift(table, cols, tree, coords, n)]
+    z2_gens = [Cochain(group, n, 2, c)
+               for c in _lift(table, cols, tree, basis[:, orders > 1].T, n)]
     invariants = sorted(f for f in factors if f > 1)
     return SecondCohomology(group, n, size, z2_size, b2_size, invariants,
                             reps, z2_gens)

@@ -1,5 +1,4 @@
 import json
-import math
 import tracemalloc
 from collections import Counter
 
@@ -12,8 +11,9 @@ from centrex import cli, cochains, cohomology, extensions, verify
 from centrex.cli import _full_delta_zero, main
 from centrex.cochains import Cochain, format_cochain, parse_cochain
 from centrex.errors import CapacityError
-from centrex.groups import (cyclic, dihedral, format_group_table, klein_four,
-                            parse_group_table)
+from centrex.groups import (cyclic, dihedral, direct_product,
+                            format_group_table, generating_set, klein_four,
+                            parse_group_table, symmetric3)
 
 
 @pytest.fixture
@@ -83,7 +83,8 @@ def test_h2_builds_each_space_once(files, monkeypatch):
 
 def test_h2_z2_matrix_has_generator_rows_only(files, monkeypatch):
     # Z^2 is the kernel of the delta^2 rows (g, h, s) with s in a generating
-    # set: at most m^2 log2(m) rows, not m^3
+    # set, composed with the lift L: m (|S| + 1) columns and at most
+    # m^2 |S| rows, not m^2 columns and m^3 rows
     shapes = []
     real = cohomology.smith_normal_form
 
@@ -94,20 +95,33 @@ def test_h2_z2_matrix_has_generator_rows_only(files, monkeypatch):
     monkeypatch.setattr(cohomology, "smith_normal_form", recording)
     assert main(["h2", "--group", files["d8"], "--modulus", "2"]) == 0
     m = dihedral(8).order
-    # the quotient runs on [W / scale | diag(orders)]^T: m + m^2 rows
-    assert shapes.count((m + m * m, m * m)) == 1
-    z2_rows = [rows for rows, cols in shapes
-               if cols == m * m and rows != m + m * m]
-    assert len(z2_rows) == 1
-    assert z2_rows[0] <= m * m * math.ceil(math.log2(m))
+    s = len(generating_set(dihedral(8).table))
+    k = m * (s + 1)
+    assert k < m * m
+    # in order: Z^2, B^2 as delta^1 on the rows G x ({e} U S), and the
+    # quotient on [W / scale | diag(orders)]^T
+    z2, b2, quotient = shapes
+    assert z2[1] == k and 0 < z2[0] <= m * m * s
+    assert b2 == (k, m)
+    assert quotient == (m + k, k)
+
+
+def _drop_last_generator_rows(monkeypatch):
+    """Leave the rows of the last generator out of M; the lift and its
+    tree still use every generator, so every column is still reached."""
+    real = cohomology._light_rows
+    monkeypatch.setattr(cohomology, "_light_rows",
+                        lambda table, L, gens, n: real(table, L, gens[:-1], n))
 
 
 def test_h2_full_delta_certificate(tmp_path, monkeypatch):
     # the full delta over all m^3 triples certifies Z^2: it passes on the
-    # generator rows of delta^2 and fails once a generator is left out
-    # (which on S3 leaves 64 classes, under the enumeration cap)
+    # generator rows and fails once the rows of a generator are left out.
+    # On the labelling of symmetric3 (32 classes, under the enumeration
+    # cap) those rows are not implied by the others and the tree; on the
+    # dihedral(3) labelling of S3 they are, and nothing would change
     group = tmp_path / "s3.grp"
-    group.write_text(format_group_table(dihedral(3)))
+    group.write_text(format_group_table(symmetric3()))
     out = tmp_path / "s3.json"
     argv = ["h2", "--group", str(group), "--modulus", "2", "--out", str(out)]
 
@@ -119,22 +133,20 @@ def test_h2_full_delta_certificate(tmp_path, monkeypatch):
 
     assert main(argv) == 0
     assert failed() == set()
-    real = cohomology.generating_set
-    monkeypatch.setattr(cohomology, "generating_set",
-                        lambda table: real(table)[:-1])
+    _drop_last_generator_rows(monkeypatch)
     assert main(argv) == 1
     assert failed() == {"z2_full_delta"}
 
 
 def test_full_delta_certificate_on_d6(monkeypatch):
-    d6 = dihedral(6)
+    # D6 as S3 x Z2, the labelling on which the last generator's rows of M
+    # carry information (on dihedral(6) the other rows and the tree imply
+    # them); the mutation leaves 128 classes
+    d6 = direct_product(symmetric3(), cyclic(2))
     h2 = cohomology.second_cohomology(d6, 2)
+    assert h2.invariant_factors == [2, 2, 2]
     assert _full_delta_zero(h2).all()
-    real = cohomology.generating_set
-    monkeypatch.setattr(cohomology, "generating_set",
-                        lambda table: real(table)[:-1])
-    # a dropped generator leaves 8192 "classes"; enumerate them anyway
-    monkeypatch.setattr(cohomology, "MAX_CLASS_ENUMERATION", 2**13)
+    _drop_last_generator_rows(monkeypatch)
     h2 = cohomology.second_cohomology(d6, 2)
     closed = _full_delta_zero(h2)
     assert len(closed) == len(h2.z2_generators) + h2.size

@@ -16,9 +16,9 @@ from centrex.cohomology import (cohomologous, delta_matrix,
                                 second_cohomology, smith_normal_form,
                                 solve_mod)
 from centrex.errors import CapacityError
-from centrex.groups import (cyclic, dihedral, direct_product,
-                            generating_set, klein_four, quaternion8,
-                            symmetric3)
+from centrex.groups import (FiniteGroup, catalog, cyclic, dihedral,
+                            direct_product, generating_set, klein_four,
+                            quaternion8, symmetric3)
 from centrex.rng import generator
 
 Z2 = cyclic(2)
@@ -34,19 +34,6 @@ def test_delta_matrix_matches_delta_operator():
         c = random_cochain(group, n, 2, rng)
         via_matrix = np.mod(A @ c.values.reshape(-1), n)
         assert np.array_equal(via_matrix, delta(c).values.reshape(-1))
-
-
-def test_restricted_delta_matrix_keeps_rows_in_order():
-    # restricting the last coordinate selects rows of the full matrix,
-    # (g, h) major and the listed k minor
-    for group in (S3, quaternion8()):
-        m = group.order
-        full = delta_matrix(group, 2).reshape(m, m, m, m * m)
-        last = generating_set(group.table)
-        part = delta_matrix(group, 2, last=last)
-        assert np.array_equal(part, full[:, :, last].reshape(-1, m * m))
-        assert np.array_equal(delta_matrix(group, 1, last=np.arange(m)),
-                              delta_matrix(group, 1))
 
 
 def test_delta_stack_matches_delta_per_entry():
@@ -75,6 +62,99 @@ def test_z2_from_generator_rows_matches_full_kernel(group, n):
         assert delta(gen).is_zero
 
 
+def _coordinates(group):
+    """(table, generating set, coordinate columns {e} U S, Cayley tree)."""
+    table = group.table
+    gens = generating_set(table)
+    return table, gens, np.concatenate([[0], gens]), \
+        cohomology._cayley_tree(table, gens)
+
+
+# every catalog group at every modulus the oracle admits
+_FEASIBLE = [(name, n) for name, group in catalog().items()
+             for n in range(1, cohomology.MAX_MODULUS + 1)
+             if n ** (group.order ** 2) <= cohomology.ORACLE_LIMIT]
+
+
+@pytest.mark.parametrize("name, n", _FEASIBLE,
+                         ids=["%s-n%d" % pair for pair in _FEASIBLE])
+def test_lift_spans_exactly_the_exhaustive_cocycles(name, n):
+    # the recursion lemma: Z^2 = L(ker M), with nothing missing and nothing
+    # extra, against the meet-in-the-middle enumeration of Z^2
+    group = catalog()[name]
+    h2 = second_cohomology(group, n)
+    gens = np.array([g.values.reshape(-1) for g in h2.z2_generators],
+                    dtype=np.int64).reshape(-1, group.order ** 2)
+    combos = cohomology._digit_rows(n, len(gens))
+    span = np.unique(combos @ gens % n, axis=0)
+    assert len(span) == h2.z2_size
+    assert np.array_equal(span, np.unique(exhaustive_cocycles(group, n),
+                                          axis=0))
+
+
+@pytest.mark.parametrize("group, n", [
+    (S3, 2), (quaternion8(), 4), (dihedral(8), 8),
+    (direct_product(cyclic(4), cyclic(4)), 3),
+], ids=["S3-n2", "Q8-n4", "D8-n8", "Z4xZ4-n3"])
+def test_lift_is_injective_and_fills_the_tree_rows(group, n):
+    table, gens, cols, tree = _coordinates(group)
+    m = group.order
+    assert len(tree) == m - len(cols)
+    coords = generator(59).integers(0, n, size=(6, m * len(cols)))
+    c = cohomology._lift(table, cols, tree, coords, n)
+    # L copies its coordinates, so restricting to them is a left inverse
+    assert np.array_equal(c[:, :, cols].reshape(6, -1), coords)
+    residual = delta_stack(group, n, 2, c)
+    for t, h, s in tree:
+        assert table[h, s] == t
+        assert not residual[:, :, h, s].any()
+    # the other generator rows are constraints: random coordinates break
+    # some of them
+    assert residual[:, :, :, gens].any()
+
+
+def _relabelled(group, seed):
+    """The same group on a seeded permutation of its labels fixing 0."""
+    m = group.order
+    perm = np.concatenate([[0], 1 + generator(seed).permutation(m - 1)])
+    table = np.empty_like(group.table)
+    table[perm[:, None], perm[None, :]] = perm[group.table]
+    return FiniteGroup(table, group.name + "'")
+
+
+@pytest.mark.parametrize("group", [dihedral(8), quaternion8()],
+                         ids=["D8", "Q8"])
+def test_relabelling_keeps_counts_and_factors(group):
+    other = _relabelled(group, 61)
+    # another labelling gives another generating set or Cayley tree
+    assert _coordinates(other)[3] != _coordinates(group)[3]
+    for n in (2, 4):
+        h2, h2_other = second_cohomology(group, n), \
+            second_cohomology(other, n)
+        assert (h2.size, h2.z2_size, h2.b2_size, h2.invariant_factors) == \
+            (h2_other.size, h2_other.z2_size, h2_other.b2_size,
+             h2_other.invariant_factors)
+        assert all(delta(c).is_zero for c in h2_other.representatives)
+
+
+def test_lift_rejects_a_set_that_does_not_generate(monkeypatch):
+    # a tree that misses an element cannot fill its column; the lift says
+    # so before any SNF runs instead of returning counts for a subgroup
+    for group in (S3, quaternion8(), dihedral(8)):
+        gens = generating_set(group.table)
+        with pytest.raises(AssertionError, match="does not generate"):
+            cohomology._cayley_tree(group.table, gens[:-1])
+    snfs = []
+    monkeypatch.setattr(cohomology, "smith_normal_form",
+                        lambda A, n: snfs.append(A))
+    real = cohomology.generating_set
+    monkeypatch.setattr(cohomology, "generating_set",
+                        lambda table: real(table)[:-1])
+    with pytest.raises(AssertionError, match="does not generate"):
+        second_cohomology(quaternion8(), 2)
+    assert snfs == []
+
+
 def test_smith_normal_form_transforms():
     # only the column transform is kept: V is invertible mod n, and A V has
     # no nonzero column past the diagonal.  n = 6 has entries that do not
@@ -98,23 +178,6 @@ def test_smith_normal_form_transforms():
             for j, d in enumerate(res.diag):
                 assert np.gcd.reduce(np.append(AV[:, j], n)) == \
                     np.gcd(d, n)
-
-
-def test_smith_normal_form_in_place_handover():
-    # a _Reduced input is diagonalized in place (delta^2 is held once); a
-    # plain input is copied and left as it was
-    rng = generator(11)
-    for n in (2, 6):
-        A = np.mod(rng.integers(-4, 5, size=(7, 5)), n)
-        kept = A.copy()
-        res = smith_normal_form(A, n)
-        assert np.array_equal(A, kept)
-        handed = A.copy()
-        res2 = smith_normal_form(handed.view(cohomology._Reduced), n)
-        assert res2.diag == res.diag
-        assert np.array_equal(res2.V, res.V)
-        assert np.array_equal(res2.Vinv, res.Vinv)
-        assert not np.array_equal(handed, kept)
 
 
 def test_kernel_mod_counts_by_enumeration():
@@ -203,13 +266,22 @@ def test_oracle_at_modulus_one_stays_small():
 
 
 def test_second_cohomology_peak_at_order_32():
-    # the quotient SNF runs on the transposed relations and keeps V and
-    # Vinv only; dense m^2 x m^2 row transforms U and Uinv would trace
-    # 66.1 MiB here
+    # the SNFs run on the m (|S| + 1) = 96 coordinates of the lift; the
+    # 5120 x 1024 generator rows of delta^2 with their dense 1024 x 1024
+    # V and Vinv traced 48.6 MiB here
     h2, peak = _peak_mib(second_cohomology, dihedral(16), 2)
     assert (h2.z2_size, h2.b2_size, h2.size) == (2**33, 2**30, 8)
     assert h2.invariant_factors == [2, 2, 2]
-    assert peak < 56
+    assert peak < 12
+
+
+def test_second_cohomology_modulus_one_stays_small():
+    # every space is trivial mod 1; the m^2-column solve still traced
+    # 48.5 MiB here
+    h2, peak = _peak_mib(second_cohomology, dihedral(16), 1)
+    assert (h2.z2_size, h2.b2_size, h2.size) == (1, 1, 1)
+    assert h2.invariant_factors == [] and len(h2.representatives) == 1
+    assert peak < 8
 
 
 def test_cohomologous_peak_at_order_32():
