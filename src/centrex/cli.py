@@ -24,6 +24,7 @@ error, 3 capacity guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -33,8 +34,8 @@ from .cochains import delta_stack, load_cochain
 from .cohomology import (check_capacity, exhaustive_second_cohomology,
                          second_cohomology)
 from .errors import CapacityError, CocycleError
-from .extensions import ExtensionGroup, build_extension
-from .groups import load_group, table_fingerprint
+from .extensions import build_extension, extension_fingerprints
+from .groups import load_group
 from .report import build_report, file_digest, human_summary, write_report
 from .verify import CheckResult, run_gamma_battery, run_period_checks
 
@@ -42,7 +43,10 @@ from .verify import CheckResult, run_gamma_battery, run_period_checks
 _CERTIFICATE_ENTRIES = 2**20
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on the first call and kept for the
+    process: every call of ``main`` parses with the same one."""
     parser = argparse.ArgumentParser(
         prog="centrex",
         description="central extensions of finite groups and loop-group "
@@ -133,19 +137,15 @@ def _cmd_h2(args):
         passed=bool(closed.all()),
         trials=len(closed),
     ))
-    classes = []
-    for rep, cocycle in zip(h2.representatives,
-                            closed[len(h2.z2_generators):]):
-        if cocycle:
-            # z2_full_delta has just applied the full delta to rep
-            ext = ExtensionGroup._trusted(rep)
-            fp = _fingerprint_dict(table_fingerprint(ext.table, ext.identity))
-        else:
-            fp = None
-        classes.append({
-            "cocycle": rep.values.reshape(-1).tolist(),
-            "fingerprint": fp,
-        })
+    # z2_full_delta has just applied the full delta to each rep; a
+    # fingerprint is reported only where it vanished
+    fps = extension_fingerprints(
+        group, n, [rep.values for rep in h2.representatives])
+    classes = [{
+        "cocycle": rep.values.reshape(-1).tolist(),
+        "fingerprint": _fingerprint_dict(fp) if cocycle else None,
+    } for rep, fp, cocycle in zip(h2.representatives, fps,
+                                  closed[len(h2.z2_generators):])]
     try:
         oracle = exhaustive_second_cohomology(group, n)
     except CapacityError:
@@ -205,7 +205,7 @@ def _cmd_extend(args):
                               tolerance=0.0, passed=False, trials=1)]
         payload = {"violating_triple": list(exc.triple)}
         return build_report("extend", params, checks, payload, inputs)
-    fp = table_fingerprint(ext.table, ext.identity)
+    fp, = extension_fingerprints(group, cochain.modulus, cochain.values)
     checks = [CheckResult(name="cocycle_condition", residual=0.0,
                           tolerance=0.0, passed=True, trials=1)]
     payload = {

@@ -13,15 +13,16 @@ from itertools import permutations
 import numpy as np
 
 
-def _closure(table, members):
-    """Smallest superset of the boolean mask ``members`` closed under the
-    table product.  Each round multiplies the members by each other, so on
-    a group the rounds grow like log2 of the longest word needed."""
+def _closure(product, members):
+    """Smallest superset of the boolean mask ``members`` closed under
+    ``product(x, y)``, the element-wise product of two broadcast index
+    arrays.  Each round multiplies the members by each other, so on a group
+    the rounds grow like log2 of the longest word needed."""
     members = members.copy()
     while True:
         inside = np.flatnonzero(members)
         reached = np.zeros_like(members)
-        reached[table[inside[:, None], inside]] = True
+        reached[product(inside[:, None], inside)] = True
         if not (reached & ~members).any():
             return members
         members |= reached
@@ -53,7 +54,7 @@ def generating_set(table):
         s = int(np.argmin(members))
         gens.append(s)
         members[s] = True
-        members = _closure(table, members)
+        members = _closure(lambda x, y: table[x, y], members)
     return np.array(gens, dtype=np.int64)
 
 
@@ -174,7 +175,7 @@ def table_fingerprint(table, e):
     # [g, h] = (g h)(g^-1 h^-1); the derived subgroup is their closure
     derived = np.zeros(m, dtype=bool)
     derived[table[table, table[inv[:, None], inv[None, :]]]] = True
-    derived = _closure(table, derived)
+    derived = _closure(lambda x, y: table[x, y], derived)
     return GroupFingerprint(
         order=m,
         element_orders=tuple(sorted(int(k) for k in orders)),

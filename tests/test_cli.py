@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 from collections import Counter
@@ -14,6 +15,7 @@ from centrex.errors import CapacityError
 from centrex.groups import (cyclic, dihedral, direct_product,
                             format_group_table, generating_set, klein_four,
                             parse_group_table, symmetric3)
+from centrex.report import report_json
 
 
 @pytest.fixture
@@ -300,6 +302,85 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["h2", "--group", "d8", "--modulus", "2"], 0),
+    (["extend", "--group", "z2", "--cochain", "z4coc"], 0),
+    (["extend", "--group", "z2", "--cochain", "badcoc"], 1),
+    (["period", "--grid", "8x8"], 0),
+], ids=["h2", "extend", "extend-rejected", "period"])
+def test_reports_are_byte_identical(files, tmp_path, argv, code):
+    argv = [files.get(arg, arg) for arg in argv]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(argv + ["--out", str(a)]) == code
+    assert main(argv + ["--out", str(b)]) == code
+    assert a.read_bytes() == b.read_bytes()
+
+
+_PINNED_REPORT = {
+    "all_passed": False,
+    "checks": [{"name": "first", "residual": 1e-15, "passed": True},
+               {"name": "second", "residual": 0.1, "passed": False}],
+    "inputs": {},
+    "payload": {"classes": [], "cocycle": [0, 1, 1, 0],
+                "fingerprint": {"element_orders": [1, 2, 4, 4],
+                                "is_abelian": True},
+                "table": [[0, 1], [1, 0]], "zero": 0.0},
+}
+
+_PINNED_TEXT = """{
+  "all_passed": false,
+  "checks": [
+    {
+      "name": "first",
+      "passed": true,
+      "residual": 1e-15
+    },
+    {
+      "name": "second",
+      "passed": false,
+      "residual": 0.1
+    }
+  ],
+  "inputs": {},
+  "payload": {
+    "classes": [],
+    "cocycle": [0, 1, 1, 0],
+    "fingerprint": {
+      "element_orders": [1, 2, 4, 4],
+      "is_abelian": true
+    },
+    "table": [[0, 1], [1, 0]],
+    "zero": 0.0
+  }
+}
+"""
+
+
+def test_report_json_layout():
+    # dicts and lists of dicts indented by two, other lists on one line
+    assert report_json(_PINNED_REPORT) == _PINNED_TEXT
+    assert json.loads(_PINNED_TEXT) == _PINNED_REPORT
+
+
+def test_report_json_round_trips_every_command(files, tmp_path, monkeypatch):
+    written = []
+    monkeypatch.setattr(cli, "write_report",
+                        lambda report, path: written.append(report))
+    out = ["--out", str(tmp_path / "unused.json")]
+    for argv in (["h2", "--group", files["v4"], "--modulus", "2"],
+                 ["extend", "--group", files["z2"], "--cochain",
+                  files["z4coc"]],
+                 ["extend", "--group", files["z2"], "--cochain",
+                  files["badcoc"]],
+                 ["verify", "--trials", "2", "--samples", "64"],
+                 ["period", "--grid", "8x8"]):
+        main(argv + out)
+    assert [r["command"] for r in written] == ["h2", "extend", "extend",
+                                               "verify", "period"]
+    for report in written:
+        assert json.loads(report_json(report)) == report
+
+
 def test_verify_zero_trials_empty_report(tmp_path):
     out = tmp_path / "empty.json"
     assert main(["verify", "--trials", "0", "--out", str(out)]) == 0
@@ -460,6 +541,31 @@ def test_usage_errors(files):
     assert main(["nonsense"]) == 2
     assert main(["classify", "--group", files["z2"], "--modulus", "2"]) == 2
     assert main([]) == 2
+
+
+def test_parser_is_built_once_per_process(files, tmp_path, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    h2 = ["h2", "--group", files["z2"], "--modulus", "2", "--out"]
+    try:
+        assert main(["nonsense"]) == 2
+        first = list(built)
+        assert main(["--help"]) == 0
+        assert main(["h2", "--group", files["z2"], "--modulus", "0"]) == 2
+        assert main(h2 + [str(a)]) == 0
+        assert main(h2 + [str(b)]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert first.count("centrex") == 1 and built == first
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_capacity_error_exit_code(files):

@@ -5,9 +5,10 @@ from centrex.cochains import Cochain, delta, random_cochain
 from centrex.cohomology import cohomologous, second_cohomology
 from centrex.errors import CocycleError
 from centrex.extensions import (build_extension, extension_fingerprint,
-                                is_table_isomorphism, pair_isomorphism)
-from centrex.groups import (catalog, cyclic, dihedral, fingerprint,
-                            klein_four, quaternion8, symmetric3,
+                                extension_fingerprints, is_table_isomorphism,
+                                pair_isomorphism)
+from centrex.groups import (catalog, cyclic, dihedral, direct_product,
+                            fingerprint, klein_four, quaternion8, symmetric3,
                             table_fingerprint)
 from centrex.rng import generator
 
@@ -17,7 +18,6 @@ V4 = klein_four()
 
 
 def test_trivial_cocycle_gives_direct_product():
-    from centrex.groups import direct_product
     for group, n in ((Z3, 3), (V4, 2), (symmetric3(), 2)):
         ext = build_extension(Cochain.zeros(group, n, 2))
         product = direct_product(cyclic(n), group)
@@ -94,6 +94,29 @@ def test_q8_appears_exactly_once_over_v4():
     assert fps.count(q8) == 1
     assert fps.count(d4) >= 1
     assert q8.element_orders == (1, 2, 4, 4, 4, 4, 4, 4)
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name in catalog()
+                                    for n in (2, 3, 4, 8)]
+                         + [("Z2^3", 2), ("D6", 8)])
+def test_extension_fingerprints_match_tables(name, n):
+    # the cocycle formulas against the fingerprint of the built table, on
+    # every class representative, its constant shifts by 1 and n - 1
+    # (unnormalized: c(e, e) != 0) and a cohomologous rep + delta(f)
+    groups = dict(catalog(), D6=dihedral(6))
+    groups["Z2^3"] = direct_product(V4, Z2)
+    group = groups[name]
+    rng = generator(n)
+    cocycles = []
+    for rep in second_cohomology(group, n).representatives:
+        cocycles += [rep, Cochain(group, n, 2, rep.values + 1),
+                     Cochain(group, n, 2, rep.values + n - 1),
+                     rep + delta(random_cochain(group, n, 1, rng))]
+    fps = extension_fingerprints(group, n, [c.values for c in cocycles])
+    assert len(fps) == len(cocycles)
+    for c, fp in zip(cocycles, fps):
+        ext = build_extension(c)
+        assert fp == table_fingerprint(ext.table, ext.identity)
 
 
 def test_pair_isomorphism_matches_tables():
