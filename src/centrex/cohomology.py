@@ -25,30 +25,38 @@ S they are all of G.  ``groups.generating_set`` picks S with
 
 Nor does Z^2 need all m^2 unknowns.  The row (g, h, s) of delta^2 reads
 
-    c(g, hs) = c(g, h) + c(gh, s) - c(h, s),
+    c(g, hs) = c(g, h) + c(gh, s) - c(h, s)     (the recursion lemma),
 
-so a cocycle is fixed by the m (|S| + 1) coordinates x(g) = c(g, e) and
-y(g, s) = c(g, s) (the recursion lemma; it is the cellular cochain complex
-of the Cayley complex of G, Brown, Cohomology of Groups, GTM 87,
-1982).  Take the breadth-first spanning tree of the right Cayley
-graph Cay(G, S) from e.  Every t outside {e} U S has a tree parent h with
-t = hs and h nearer to e, and the lift L: (x, y) -> c copies x and y and
-fills the column c(., t) from the column of h by the recursion.  L is
-linear and injective, since it copies its input.  The rows (g, h, s) of
-the tree edges hold by construction of L, so they vanish identically on
-its image and drop out; the edges from e to S land on coordinate columns
-and stay, as the constraints c(g, e) = c(e, s).  A cocycle c is L of its
-own coordinates, since its tree rows are the recursion, and L(x, y) is a
-cocycle exactly when the generator rows vanish on it.  So Z^2 = L(ker M),
+and at h = e it reads c(e, s) = c(g, e), so every cocycle has c(g, e) =
+c(e, s) = c(e, e) (the normalization lemma).  So a cocycle is fixed by
+the (m - 1) |S| + 1 coordinates c(e, e) and c(g, s), g != e, s in S (the
+cellular cochain complex of the Cayley complex of G, Brown, Cohomology of
+Groups, GTM 87, 1982, ch. III-IV).  Take the breadth-first spanning tree
+of the right Cayley graph Cay(G, S) from e.  Every t outside {e} U S has
+a tree parent h with t = hs and h nearer to e, and the lift L copies
+c(e, e) into c(., e) and c(e, s), copies the c(g, s), and fills the
+column c(., t) from the column of h by the recursion.  L is linear and
+injective, since it copies its input.  The rows of the tree edges hold by
+construction of L and the rows (g, e, s) since both sides are copies of
+c(e, e), so they vanish identically on its image and drop out.  A cocycle
+c is L of its own coordinates, by the two lemmas, and L(x) is a cocycle
+exactly when the other generator rows vanish on it.  So Z^2 = L(ker M),
 where M is the generator rows of delta^2 composed with L, gathered from
-the rows of L: about m^2 |S| rows by m (|S| + 1) columns instead of m^2
-columns.  A coboundary is a cocycle, so it is L of its coordinates too,
-and B^2 in coordinates is the image of delta^1 restricted to the rows
-G x ({e} U S); that restriction has the kernel of delta^1, because L
-recovers a coboundary from them.  The quotient H^2 = Z^2 / B^2 runs in
-the same coordinates, and representatives and Z^2 generators are lifted
+the rows of L: at most m^2 |S| rows by (m - 1) |S| + 1 columns instead of
+m^2 columns.  A coboundary is a cocycle, so it is L of its coordinates
+too, and B^2 in coordinates is the image W of delta^1 on their rows.
+
+Its order is n^m / |ker delta^1|, and ker delta^1 = Hom(G, Z/n).  A
+homomorphism is fixed by its values f(s), lifted along the same tree by
+f(hs) = f(h) + f(s), and the lift is one exactly when that also holds on
+the other edges (h, s) of Cay(G, S): |Hom| is the kernel of at most m |S|
+rows by |S| columns.  In the coordinates of the SNF of M, Z^2 is a sum of
+cyclic groups; the quotient H^2 = Z^2 / B^2 leaves out those of order 1,
+which are zero on Z^2.  Representatives and Z^2 generators are lifted
 through L.  The full delta over all m^3 triples (``cli`` row
-``z2_full_delta``) checks every lifted cochain apart from this recursion.
+``z2_full_delta``) checks every lifted cochain apart from this recursion,
+and ``counts_consistent`` checks |Z^2| from M against |B^2| from Hom
+times |H^2| from the quotient.
 
 The oracle keeps the full delta over all m^3 triples as its reference but
 never builds the m^3 x m^2 matrix of delta^2 or the n^(m^2) cochains.  It
@@ -247,7 +255,7 @@ def _cyclic_orders(res, size, n):
 
 
 def kernel_mod(A, n):
-    """Kernel of A over Z/n: (size, generator columns, orders, snf result).
+    """Kernel of A over Z/n: (size, generator columns, orders).
 
     The generators are independent: the kernel is the direct sum of the
     cyclic groups they generate.
@@ -258,7 +266,7 @@ def kernel_mod(A, n):
         if g > 1:
             gens.append(res.V[:, i] * (n // g) % n)
             orders.append(g)
-    return prod(orders), gens, orders, res
+    return prod(orders), gens, orders
 
 
 def solve_mod(A, b, n):
@@ -272,7 +280,7 @@ def solve_mod(A, b, n):
     ends in 1.
     """
     b = np.mod(np.asarray(b, dtype=np.int64), n)
-    _, gens, _, _ = kernel_mod(np.column_stack([A, -b]), n)
+    _, gens, _ = kernel_mod(np.column_stack([A, -b]), n)
     t, acc = n, np.zeros(A.shape[1] + 1, dtype=np.int64)
     for gen in gens:
         t, p, q = _xgcd(t, int(gen[-1]))
@@ -318,15 +326,17 @@ def _cayley_tree(table, gens):
     return edges
 
 
-def _lift(table, cols, tree, coords, n):
+def _lift(table, gens, tree, coords, n):
     """L applied to a stack of coordinate vectors, one per row: the
-    degree-2 cochain values, shape (rows, m, m), that copy coordinate
-    g (|S| + 1) + j into c(g, cols[j]) and fill every other column c(., t)
-    along its tree edge (t, h, s) by c(g, hs) = c(g, h) + c(gh, s) - c(h, s).
+    degree-2 cochain values, shape (rows, m, m), that copy coordinate 0
+    into c(., e) and c(e, s), coordinate 1 + (g - 1) |S| + j into
+    c(g, gens[j]) for g != e, and fill every other column c(., t) along its
+    tree edge (t, h, s) by c(g, hs) = c(g, h) + c(gh, s) - c(h, s).
     """
-    m = table.shape[0]
-    c = np.zeros((len(coords), m, m), dtype=_LIFT_DTYPE)
-    c[:, :, cols] = coords.reshape(len(coords), m, len(cols))
+    m, r = table.shape[0], len(coords)
+    c = np.zeros((r, m, m), dtype=_LIFT_DTYPE)
+    c[:, :, 0] = c[:, 0, gens] = coords[:, :1]
+    c[:, 1:, gens] = coords[:, 1:].reshape(r, m - 1, len(gens))
     for t, h, s in tree:
         c[:, :, t] = (c[:, :, h] + c[:, table[:, h], s]
                       - c[:, h, s][:, None]) % n
@@ -337,7 +347,7 @@ def _light_rows(table, L, gens, n):
     """The rows (g, h, s), s in ``gens``, of delta^2 composed with the lift
     L (its stack of lifted unit vectors), gathered from the rows of L
     through the face grids of ``delta``.  Rows that vanish mod n, the tree
-    edges among them, are dropped."""
+    edges and the rows (g, e, s) among them, are dropped."""
     m = table.shape[0]
     Lt = np.ascontiguousarray(L.reshape(len(L), m * m).T)
     grids = np.indices((m, m, len(gens))).reshape(3, -1)
@@ -350,37 +360,55 @@ def _light_rows(table, L, gens, n):
     return M[M.any(axis=1)]
 
 
+def _hom_rows(table, gens, tree, n):
+    """The constraints on the values f(s), s in ``gens``, of a map f lifted
+    along the Cayley tree by f(hs) = f(h) + f(s): one row f(hs) - f(h) -
+    f(s) per edge (h, s) of Cay(G, S), dropping those that vanish mod n,
+    the tree edges among them.  Its kernel is Hom(G, Z/n)."""
+    m, r = table.shape[0], len(gens)
+    F = np.zeros((m, r), dtype=np.int64)
+    F[gens] = np.eye(r, dtype=np.int64)
+    for t, h, s in tree:
+        F[t] = F[h] + F[s]
+    rows = (F[table[:, gens]] - F[:, None] - F[gens]).reshape(m * r, r) % n
+    return rows[rows.any(axis=1)]
+
+
 def second_cohomology(group, n):
     """H^2 = Z^2 / B^2 with one representative cocycle per class, solved in
-    the m (|S| + 1) coordinates of the lift L (see the module docstring)."""
+    the (m - 1) |S| + 1 coordinates of the lift L (see the module
+    docstring)."""
     check_capacity(group, n)
     m, table = group.order, group.table
     gens = generating_set(table)
-    cols = np.concatenate([[0], gens])
     tree = _cayley_tree(table, gens)
-    k = m * len(cols)
-    L = _lift(table, cols, tree, np.eye(k, dtype=_LIFT_DTYPE), n)
+    k = (m - 1) * len(gens) + 1
+    L = _lift(table, gens, tree, np.eye(k, dtype=_LIFT_DTYPE), n)
     res2 = smith_normal_form(_light_rows(table, L, gens, n), n)
     del L
-    # B^2 in coordinates: delta^1 on the rows G x ({e} U S)
-    A1 = delta_matrix(group, 1).reshape(m, m, m)[:, cols].reshape(k, m)
-    ker1_size, _, _, _ = kernel_mod(A1, n)
-    b2_size = n**m // ker1_size
+    # B^2 = delta^1(C^1), and the kernel of delta^1 is Hom(G, Z/n)
+    hom_size, _, _ = kernel_mod(_hom_rows(table, gens, tree, n), n)
+    b2_size = n**m // hom_size
     # in the coordinates Vinv2 x, Z^2 is the sum of the cyclic groups
     # scale_i Z/n, of orders n / scale_i
     cyclic = _cyclic_orders(res2, k, n)
     z2_size = prod(cyclic)
     orders = np.array(cyclic, dtype=np.int64)
     scale = n // orders
+    # B^2 in coordinates: delta^1 on the rows (e, e) and (g, s), g != e
+    D1 = delta_matrix(group, 1).reshape(m, m, m)
+    A1 = np.concatenate([D1[:1, 0], D1[1:, gens].reshape(-1, m)])
     W = res2.Vinv @ A1 % n
     if np.any(W % scale[:, None]):
         raise AssertionError("coboundary lattice escapes the cocycle lattice")
-    # H^2 is the cokernel of M = [W / scale | diag(orders)]; its class
+    # H^2 is the cokernel of M = [W / scale | diag(orders)] on the z
+    # coordinates of order above 1, the others being zero on Z^2; its class
     # generators are the columns of U(M)^-1, which the SNF of M^T returns
     # as the rows of its Vinv
+    z = orders > 1
     res3 = smith_normal_form(
-        np.concatenate([(W // scale[:, None]).T, np.diag(orders)]), n)
-    factors = _cyclic_orders(res3, k, n)
+        np.concatenate([(W[z] // scale[z, None]).T, np.diag(orders[z])]), n)
+    factors = _cyclic_orders(res3, int(z.sum()), n)
     size = prod(factors)
     if size > MAX_CLASS_ENUMERATION:
         raise CapacityError("H^2 has %d classes; enumeration capped at %d"
@@ -388,14 +416,13 @@ def second_cohomology(group, n):
     live = [j for j, f in enumerate(factors) if f > 1]
     combos = np.array(list(product(*(range(factors[j]) for j in live))),
                       dtype=np.int64).reshape(size, len(live))
-    # the columns of V2 * scale generate Z^2 in coordinates; those of order
-    # above 1 are its generators
-    basis = res2.V * scale[None, :] % n
+    # the columns of V2 * scale of order above 1 generate Z^2 in coordinates
+    basis = res2.V[:, z] * scale[z] % n
     coords = (combos @ res3.Vinv[live] % n) @ basis.T % n
     reps = [Cochain(group, n, 2, c)
-            for c in _lift(table, cols, tree, coords, n)]
+            for c in _lift(table, gens, tree, coords, n)]
     z2_gens = [Cochain(group, n, 2, c)
-               for c in _lift(table, cols, tree, basis[:, orders > 1].T, n)]
+               for c in _lift(table, gens, tree, basis.T, n)]
     invariants = sorted(f for f in factors if f > 1)
     return SecondCohomology(group, n, size, z2_size, b2_size, invariants,
                             reps, z2_gens)

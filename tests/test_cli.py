@@ -83,29 +83,67 @@ def test_h2_builds_each_space_once(files, monkeypatch):
         assert len(inputs) == 3 and len(set(inputs)) == 3
 
 
-def test_h2_z2_matrix_has_generator_rows_only(files, monkeypatch):
-    # Z^2 is the kernel of the delta^2 rows (g, h, s) with s in a generating
-    # set, composed with the lift L: m (|S| + 1) columns and at most
-    # m^2 |S| rows, not m^2 columns and m^3 rows
-    shapes = []
+def _recording_snf(monkeypatch):
+    """Record (input shape, result) of every Smith normal form."""
+    calls = []
     real = cohomology.smith_normal_form
 
     def recording(A, n):
-        shapes.append(np.asarray(A).shape)
-        return real(A, n)
+        res = real(A, n)
+        calls.append((np.asarray(A).shape, res))
+        return res
 
     monkeypatch.setattr(cohomology, "smith_normal_form", recording)
+    return calls
+
+
+def test_h2_z2_matrix_has_generator_rows_only(files, monkeypatch):
+    # Z^2 is the kernel of the delta^2 rows (g, h, s) with s in a generating
+    # set, composed with the lift L: (m - 1) |S| + 1 columns and at most
+    # m^2 |S| rows, not m^2 columns and m^3 rows
+    calls = _recording_snf(monkeypatch)
     assert main(["h2", "--group", files["d8"], "--modulus", "2"]) == 0
     m = dihedral(8).order
     s = len(generating_set(dihedral(8).table))
-    k = m * (s + 1)
+    k = (m - 1) * s + 1
     assert k < m * m
-    # in order: Z^2, B^2 as delta^1 on the rows G x ({e} U S), and the
-    # quotient on [W / scale | diag(orders)]^T
-    z2, b2, quotient = shapes
+    # in order: Z^2, Hom(G, Z/n) as constraints on the f(s), s in S, and
+    # the quotient on [W / scale | diag(orders)]^T over the z coordinates
+    # of order above 1
+    (z2, res2), (hom, _), (quotient, _) = calls
     assert z2[1] == k and 0 < z2[0] <= m * m * s
-    assert b2 == (k, m)
-    assert quotient == (m + k, k)
+    assert hom[1] == s and hom[0] <= m * s
+    z = sum(o > 1 for o in cohomology._cyclic_orders(res2, k, 2))
+    assert 0 < z < k
+    assert quotient == (m + z, z)
+
+
+def test_h2_pivot_budget(files, monkeypatch):
+    # the three Smith normal forms of D8 at n = 2 take 28 pivots together;
+    # in the m (|S| + 1) coordinates with B^2 from delta^1 they took 90
+    calls = _recording_snf(monkeypatch)
+    assert main(["h2", "--group", files["d8"], "--modulus", "2"]) == 0
+    assert len(calls) == 3
+    assert sum(len(res.diag) for _, res in calls) <= 30
+
+
+@pytest.mark.parametrize("group", [cyclic(1), cyclic(2), cyclic(5)],
+                         ids=["Z1", "Z2", "Z5"])
+@pytest.mark.parametrize("n", [1, 2, 6, 8])
+def test_h2_with_at_most_one_generator(group, n, tmp_path):
+    # |S| = 0 on the trivial group and |S| = 1 on a cyclic one: the
+    # coordinates are c(e, e) alone, or c(e, e) and c(g, s) for g != e
+    table, out = tmp_path / "g.grp", tmp_path / "h2.json"
+    table.write_text(format_group_table(group))
+    assert main(["h2", "--group", str(table), "--modulus", str(n),
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    # H^2(Z/p; Z/n) = Z/gcd(p, n) and |Hom(Z/p, Z/n)| = gcd(p, n), so
+    # |B^2| = n^m / gcd(p, n) and |Z^2| = |B^2| |H^2| = n^m
+    m = group.order
+    h2 = np.gcd(m, n)
+    assert (payload["z2_size"], payload["b2_size"], payload["h2_size"]) \
+        == (n ** m, n ** m // h2, h2)
 
 
 def _drop_last_generator_rows(monkeypatch):

@@ -55,7 +55,7 @@ Z2_4 = direct_product(direct_product(Z2, Z2), direct_product(Z2, Z2))
     (direct_product(cyclic(4), cyclic(4)), 8),
 ], ids=["D8-n2", "Q8-n4", "D6-n8", "Z2^4-n2", "Z4xZ4-n8"])
 def test_z2_from_generator_rows_matches_full_kernel(group, n):
-    full_size, _, _, _ = kernel_mod(delta_matrix(group, 2), n)
+    full_size, _, _ = kernel_mod(delta_matrix(group, 2), n)
     h2 = second_cohomology(group, n)
     assert h2.z2_size == full_size
     for gen in h2.z2_generators:
@@ -63,11 +63,10 @@ def test_z2_from_generator_rows_matches_full_kernel(group, n):
 
 
 def _coordinates(group):
-    """(table, generating set, coordinate columns {e} U S, Cayley tree)."""
+    """(table, generating set S, Cayley tree)."""
     table = group.table
     gens = generating_set(table)
-    return table, gens, np.concatenate([[0], gens]), \
-        cohomology._cayley_tree(table, gens)
+    return table, gens, cohomology._cayley_tree(table, gens)
 
 
 # every catalog group at every modulus the oracle admits
@@ -97,20 +96,58 @@ def test_lift_spans_exactly_the_exhaustive_cocycles(name, n):
     (direct_product(cyclic(4), cyclic(4)), 3),
 ], ids=["S3-n2", "Q8-n4", "D8-n8", "Z4xZ4-n3"])
 def test_lift_is_injective_and_fills_the_tree_rows(group, n):
-    table, gens, cols, tree = _coordinates(group)
-    m = group.order
-    assert len(tree) == m - len(cols)
-    coords = generator(59).integers(0, n, size=(6, m * len(cols)))
-    c = cohomology._lift(table, cols, tree, coords, n)
-    # L copies its coordinates, so restricting to them is a left inverse
-    assert np.array_equal(c[:, :, cols].reshape(6, -1), coords)
-    residual = delta_stack(group, n, 2, c)
+    table, gens, tree = _coordinates(group)
+    m, r = group.order, len(gens)
+    assert len(tree) == m - 1 - r
+    coords = generator(59).integers(0, n, size=(6, (m - 1) * r + 1))
+    c = cohomology._lift(table, gens, tree, coords, n)
+    # L copies its coordinates c(e, e) and c(g, s), g != e, so reading
+    # them back is a left inverse
+    read = np.concatenate([c[:, 0, :1], c[:, 1:][:, :, gens].reshape(6, -1)],
+                          axis=1)
+    assert np.array_equal(read, coords)
+    rows = delta_stack(group, n, 2, c)[:, :, :, gens]
     for t, h, s in tree:
         assert table[h, s] == t
-        assert not residual[:, :, h, s].any()
+        assert not rows[:, :, h, list(gens).index(s)].any()
+    # the rows (g, e, s) read c(e, s) - c(g, e), two copies of c(e, e)
+    assert not rows[:, :, 0].any()
     # the other generator rows are constraints: random coordinates break
     # some of them
-    assert residual[:, :, :, gens].any()
+    assert rows.any()
+
+
+_HOM_GROUPS = dict(catalog(), D6=dihedral(6), D8=dihedral(8),
+                   Z2_3=direct_product(direct_product(Z2, Z2), Z2),
+                   Z4xZ4=direct_product(cyclic(4), cyclic(4)))
+# every pair whose n^m maps G -> Z/n the enumeration admits
+_HOM_FEASIBLE = [(name, n) for name, group in _HOM_GROUPS.items()
+                 for n in (1, 2, 3, 4, 6, 8)
+                 if n ** group.order <= cohomology.ORACLE_LIMIT]
+
+
+@pytest.mark.parametrize("name, n", _HOM_FEASIBLE,
+                         ids=["%s-n%d" % pair for pair in _HOM_FEASIBLE])
+def test_hom_rows_count_the_homomorphisms(name, n):
+    # the kernel of the Cayley-graph constraints is Hom(G, Z/n) = ker
+    # delta^1, against every map G -> Z/n, and n^m / |Hom| is |B^2|
+    group = _HOM_GROUPS[name]
+    table, gens, tree = _coordinates(group)
+    rows = cohomology._hom_rows(table, gens, tree, n)
+    m, r = group.order, len(gens)
+    assert rows.shape[1] == r and rows.shape[0] <= m * r
+    hom_size, _, _ = kernel_mod(rows, n)
+    # the maps f with delta f = 0, one row of delta^1 at a time
+    closed = cohomology.all_cochain_values(group, n, 1)
+    for row in delta_matrix(group, 1):
+        closed = closed[closed @ row % n == 0]
+    assert hom_size == len(closed)
+    assert second_cohomology(group, n).b2_size == n ** m // hom_size
+    # the enumeration of B^2 holds n^m rows of m^2 int64 entries before it
+    # deduplicates them; past 2^24 (128 MiB, only D6 at n = 3 here) the
+    # count of closed maps above stands alone
+    if n ** m * m * m <= 2**24:
+        assert n ** m // hom_size == len(exhaustive_coboundaries(group, n))
 
 
 def _relabelled(group, seed):
@@ -127,7 +164,7 @@ def _relabelled(group, seed):
 def test_relabelling_keeps_counts_and_factors(group):
     other = _relabelled(group, 61)
     # another labelling gives another generating set or Cayley tree
-    assert _coordinates(other)[3] != _coordinates(group)[3]
+    assert _coordinates(other)[2] != _coordinates(group)[2]
     for n in (2, 4):
         h2, h2_other = second_cohomology(group, n), \
             second_cohomology(other, n)
@@ -184,7 +221,7 @@ def test_kernel_mod_counts_by_enumeration():
     rng = generator(13)
     for n in (2, 3, 4, 6):
         A = rng.integers(-3, 4, size=(4, 3))
-        size, gens, orders, _ = kernel_mod(A, n)
+        size, gens, orders = kernel_mod(A, n)
         brute = 0
         for x0 in range(n):
             for x1 in range(n):
@@ -382,7 +419,7 @@ def test_second_cohomology_counts():
 def test_size_factorization_holds():
     for group, n in ((V4, 2), (Z4 := cyclic(4), 2), (Z4, 4), (S3, 2), (S3, 3)):
         h2 = second_cohomology(group, n)
-        full_size, _, _, _ = kernel_mod(delta_matrix(group, 2), n)
+        full_size, _, _ = kernel_mod(delta_matrix(group, 2), n)
         assert full_size == h2.z2_size == h2.b2_size * h2.size
 
 
