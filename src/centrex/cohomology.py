@@ -518,11 +518,15 @@ def exhaustive_cocycles(group, n):
 
 
 def exhaustive_coboundaries(group, n):
-    """All of B^2 by applying delta to every degree-1 cochain."""
+    """All of B^2 as int64 rows in lexicographic order: delta of every
+    degree-1 cochain, in blocks of 4096 deduplicated on uint8 row keys."""
     ones = all_cochain_values(group, n, 1)
     A = delta_matrix(group, 1)
-    coboundaries = np.mod(ones @ A.T, n)
-    return np.unique(coboundaries, axis=0)
+    key = np.dtype((np.void, A.shape[0]))
+    keys = np.unique(np.concatenate([
+        np.unique(np.mod(ones[i:i + 4096] @ A.T, n).astype(np.uint8).view(key))
+        for i in range(0, len(ones), 4096)]))
+    return keys.view(np.uint8).reshape(len(keys), -1).astype(np.int64)
 
 
 def class_key(flat, coboundaries, n):

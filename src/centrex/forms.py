@@ -26,8 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .loops import (LoopTangent, _as_result, circle_integral,
-                    conjugate_tangent, right_log_derivative,
-                    spectral_derivative)
+                    conjugate_tangent)
 from .su import (_dagger, _matmul, exp_stack, killing_form_samples,
                  project_algebra)
 
@@ -50,14 +49,14 @@ def _pairing(x, values):
 def eval_R(x, y):
     """R paired against two left-trivialized tangents (base loop irrelevant)."""
     _check_pair(x, y)
-    return _pairing(x, spectral_derivative(y.samples))
+    return _pairing(x, y.derivative)
 
 
 def eval_alpha(g2, x1):
     """alpha at a point of G x G: needs only the second loop and the
     first-slot tangent."""
     _check_pair(g2, x1)
-    return _pairing(x1, right_log_derivative(g2))
+    return _pairing(x1, g2.log_derivative)
 
 
 def face_pushforward(i, loops, tangents):
@@ -130,7 +129,7 @@ def d_alpha_numeric(point, xi, eta):
     g, g_inv = g2.samples, _dagger(g2.samples)
 
     def ad_slope(tangent):
-        return _matmul(_matmul(g, spectral_derivative(tangent.samples)), g_inv)
+        return _matmul(_matmul(g, tangent.derivative), g_inv)
 
     return (_pairing(y1, ad_slope(x2)) - _pairing(x1, ad_slope(y2))
             - eval_alpha(g2, _bracket(x1, y1)))

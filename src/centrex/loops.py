@@ -15,12 +15,13 @@ stack separately, so a stack of B loops costs one call, not B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .rng import generator
-from .su import (_dagger, _matmul, assert_algebra, assert_special_unitary,
-                 exp_stack, project_algebra, random_algebra)
+from .su import (_dagger, _gaussian_algebra, _matmul, assert_algebra,
+                 assert_special_unitary, exp_stack, project_algebra)
 
 MIN_SAMPLES = 16
 
@@ -47,13 +48,17 @@ def theta_grid(num_samples):
     return 2.0 * np.pi * np.arange(num_samples) / num_samples
 
 
+def _read_only(values):
+    values.setflags(write=False)
+    return values
+
+
 def _ingest(samples, what):
     samples = np.ascontiguousarray(samples, dtype=np.complex128)
     if samples.ndim < 3 or not samples.shape[-1] == samples.shape[-2] >= 1:
         raise ValueError("%s samples need shape (..., N, n, n), n > 0" % what)
     _check_grid(samples.shape[-3])
-    samples.setflags(write=False)
-    return samples
+    return _read_only(samples)
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,11 @@ class DiscreteLoop(_Sampled):
 
     _check_members = staticmethod(assert_special_unitary)
 
+    @cached_property
+    def log_derivative(self):
+        """right_log_derivative of the loop, computed once (read-only)."""
+        return _read_only(right_log_derivative(self))
+
     def multiply(self, other):
         return DiscreteLoop._trusted(_matmul(self.samples, other.samples))
 
@@ -109,6 +119,11 @@ class LoopTangent(_Sampled):
     # object, so that the product reaches __rmul__
     __array_ufunc__ = None
     _check_members = staticmethod(assert_algebra)
+
+    @cached_property
+    def derivative(self):
+        """spectral_derivative of the samples, computed once (read-only)."""
+        return _read_only(spectral_derivative(self.samples))
 
     def __add__(self, other):
         return LoopTangent._trusted(self.samples + other.samples)
@@ -202,26 +217,27 @@ def _smooth_field(seed, dim, num_samples, modes, stream, constant, decay):
 
     A sequence of streams gives one field per stream, stacked along a
     leading axis; each entry's coefficients are drawn from its own stream
-    and summed in mode order, exactly as for a single stream.
+    and summed in mode order (theta innermost), exactly as for one stream.
     """
     _check_synthesis(num_samples, modes)
     streams = np.asarray(stream)
     leading = [constant] if constant else []
-    scales = leading + [decay(k) for k in range(1, modes + 1) for _ in (0, 1)]
-    coeffs = np.array([random_algebra(generator(seed, int(s)), dim, scales)
-                       for s in streams.reshape(-1)],
-                      dtype=np.complex128).reshape(
-                          (streams.size, len(scales), dim, dim))
+    scales = np.array(leading + [decay(k) for k in range(1, modes + 1)
+                                 for _ in (0, 1)])
+    normals = np.stack([generator(seed, int(s)).standard_normal(
+        scales.shape + (2, dim, dim)) for s in streams.reshape(-1)])
+    coeffs = _gaussian_algebra(normals, scales)[..., None]
     theta = theta_grid(num_samples)
-    field = np.zeros((streams.size, num_samples, dim, dim),
+    field = np.zeros((streams.size, dim, dim, num_samples),
                      dtype=np.complex128)
     if leading:
-        field += coeffs[:, 0, None]
+        field += coeffs[:, 0]
     for k in range(1, modes + 1):
         j = len(leading) + 2 * k - 2          # A_k, then B_k
-        field += np.cos(k * theta)[:, None, None] * coeffs[:, j, None]
-        field += np.sin(k * theta)[:, None, None] * coeffs[:, j + 1, None]
-    return field.reshape(streams.shape + (num_samples, dim, dim))
+        field += np.cos(k * theta) * coeffs[:, j]
+        field += np.sin(k * theta) * coeffs[:, j + 1]
+    return np.ascontiguousarray(np.moveaxis(field, -1, 1)).reshape(
+        streams.shape + (num_samples, dim, dim))
 
 
 def random_smooth_loop(seed, dim, num_samples, modes, stream=0):

@@ -137,18 +137,19 @@ class SphereFamily:
     def coefficient_blocks(self, u, phi):
         """su(2) coefficient blocks of the (d_u, d_phi) tangents: two
         (..., 2, 2, 2) arrays whose entry [..., a, :, :] multiplies the
-        theta profile p_a (see _profiles).  An array of phi gives blocks
-        stacked along its shape; the degenerate family has zero blocks."""
+        theta profile p_a (see _profiles).  Arrays u, phi give blocks stacked
+        along their broadcast shape; the degenerate family's are zero."""
         phi = np.asarray(phi, dtype=np.float64)
+        shape = np.broadcast_shapes(np.shape(u), phi.shape)
         if self.degenerate:
-            zero = np.zeros(phi.shape + (2, 2, 2), dtype=np.complex128)
+            zero = np.zeros(shape + (2, 2, 2), dtype=np.complex128)
             return zero, zero
         nu = _nu(u, phi)
         out = []
         for dnu, scale in ((_nu_du(u, phi), 1.0),
                            (_nu_dphi(u, phi), float(self.orientation))):
             vectors = scale * np.stack([dnu, np.cross(nu, dnu)], axis=-2)
-            out.append((vectors @ _I_SIGMA).reshape(phi.shape + (2, 2, 2)))
+            out.append((vectors @ _I_SIGMA).reshape(shape + (2, 2, 2)))
         return out[0], out[1]
 
     def tangents_at(self, u, phi):
@@ -169,13 +170,16 @@ def _simpson_weights(intervals):
     return w / 3.0
 
 
-def _gram_row(family, i, gram):
-    """R(X_u, X_phi) at every node of u-row i: the Killing pairings
-    <A_a, B_b> of the coefficient blocks, contracted with the Gram matrix."""
-    u, phi = family.node(i, np.arange(family.grid_phi))
+_STACK_NODES = 1024      # most (u, phi) nodes that _row_sums pairs at once
+
+
+def _row_sums(family, rows, gram):
+    """Sum over phi of sum_ab G_ab <A_a, B_b> on each u-row in rows."""
+    u, phi = family.node(np.asarray(rows)[:, None],
+                         np.arange(family.grid_phi))
     a, b = family.coefficient_blocks(u, phi)
-    pairs = killing_form_samples(a[:, :, None], b[:, None, :])
-    return (pairs * gram).sum(axis=(-2, -1))
+    pairs = killing_form_samples(a[..., :, None, :, :], b[..., None, :, :, :])
+    return (pairs * gram).sum(axis=(-2, -1)).sum(axis=-1)
 
 
 def sphere_period(family):
@@ -187,19 +191,21 @@ def sphere_period(family):
 
     Each node value is sum_ab G_ab <A_a, B_b> (module docstring), with
     G from profile_gram once per family, so the cost is grid_u * grid_phi
-    block pairings and no tangent is sampled.  The grid is paired one
-    u-row of coefficient blocks at a time.  equator_rows checks one row
-    against full eval_R.
+    block pairings and no tangent is sampled.  The grid is paired in
+    stacks of u-rows of at most _STACK_NODES nodes, then the row sums are
+    accumulated one at a time.  equator_rows checks one row by eval_R.
     """
     nu_grid, nphi = family.grid_u, family.grid_phi
     du = np.pi / nu_grid
     dphi = 2.0 * np.pi / nphi
     w_u = _simpson_weights(nu_grid) * du
     gram = profile_gram(family.num_samples)
+    stack = max(1, _STACK_NODES // nphi)
     total = 0.0
-    for i in range(nu_grid + 1):
-        row = _gram_row(family, i, gram).sum()
-        total += w_u[i] * row * dphi
+    for first in range(0, nu_grid + 1, stack):
+        rows = np.arange(first, min(first + stack, nu_grid + 1))
+        for i, row in zip(rows, _row_sums(family, rows, gram)):
+            total += w_u[i] * row * dphi
     return float(total)
 
 
@@ -210,6 +216,6 @@ def equator_rows(family):
     (gram_sum, full_sum); they agree up to round-off."""
     i = family.grid_u // 2
     u, phi = family.node(i, np.arange(family.grid_phi))
-    gram_sum = _gram_row(family, i, profile_gram(family.num_samples)).sum()
+    (gram_sum,) = _row_sums(family, [i], profile_gram(family.num_samples))
     full_sum = eval_R(*family.tangents_at(u, phi)).sum()
     return float(gram_sum), float(full_sum)

@@ -203,10 +203,15 @@ def _exp_su3(x):
     return out
 
 
+def _gaussian_algebra(normals, scale):
+    """su(n) elements from (..., 2, n, n) standard normals, times scale."""
+    return (project_algebra(normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
+            * scale[..., None, None])
+
+
 def random_algebra(rng, n, scale=1.0):
     """Seeded random su(n) element: projected complex Gaussian.  An array
     of scales gives one element per entry, drawn in order."""
     scale = np.asarray(scale, dtype=np.float64)
-    m = rng.standard_normal(scale.shape + (2, n, n))
-    return (project_algebra(m[..., 0, :, :] + 1j * m[..., 1, :, :])
-            * scale[..., None, None])
+    return _gaussian_algebra(rng.standard_normal(scale.shape + (2, n, n)),
+                             scale)

@@ -51,10 +51,10 @@ MIN_SAMPLES_WITH_MODES = 64
 
 # Capacity guards, set from the measured cost of the batched code (README).
 # The battery costs about trials * samples * dim^2 * (modes + 256) units.
-# The offset stands for the fixed work per sample (synthesis of eight
-# inputs and of the three at 2N, the exponentials of the pushforward
+# The offset stands for the fixed work per sample (synthesis of five
+# inputs at N and three at 2N, the exponentials of the pushforward
 # stencil and of the left-invariance chart); it over-counts that work at
-# small modes, so the guard is conservative: its corners take 5 to 28 s
+# small modes, so the guard is conservative: its corners take 5 to 14 s
 # (README).  The period costs grid_u * grid_phi coefficient-block
 # pairings per grid (the doubled grid has four times as many),
 # independent of samples, plus one full eval_R row per grid, whose
@@ -156,37 +156,9 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
     worst = {name: 0.0 for name in TOLERANCES}
     chunk = max(1, _CHUNK_SAMPLES // samples)
     for first in range(0, trials, chunk):
-        s = _streams(np.arange(first, min(first + chunk, trials)))
-        g1, g2, g3 = (random_smooth_loop(seed, dim, samples, modes,
-                                         stream=s[k])
-                      for k in ("g1", "g2", "g3"))
-        x1, x2, x3, y1, y2 = (random_smooth_tangent(seed, dim, samples, modes,
-                                                    stream=s[k])
-                              for k in ("x1", "x2", "x3", "y1", "y2"))
-        a, b = np.array([generator(seed, 2**20 + int(st)).uniform(
-            -1.5, 1.5, size=2) for st in s["scalars"]]).T
-
-        residuals = {
-            "antisymmetry": abs(eval_R(x1, y1) + eval_R(y1, x1)),
-            "bilinearity": np.maximum.reduce([
-                abs(eval_R(a * x1 + b * x2, y1)
-                    - a * eval_R(x1, y1) - b * eval_R(x2, y1)),
-                abs(eval_R(x1, a * y1 + b * x3)
-                    - a * eval_R(x1, y1) - b * eval_R(x1, x3)),
-                abs(eval_alpha(g2, a * x1 + b * x2)
-                    - a * eval_alpha(g2, x1) - b * eval_alpha(g2, x2)),
-            ]),
-            "delta_alpha": abs(delta_form_alpha((g1, g2, g3), (x1, x2, x3))),
-            "closedness": abs(d_R_numeric(x1, x2, x3)),
-            "pushforward_merge": pushforward_fd_residual(g1, g2, x1, x2),
-            "resolution_doubling": doubling_residual(
-                x1, y1, g2, seed, modes, s),
-            "left_invariance": left_invariance_check(g3, g1, g2, x1, y1),
-            "left_invariance_fd": left_invariance_fd_residual(g3, g1, g2, x1),
-        }
-        dr = delta_form_R((g1, g2), (x1, x2), (y1, y2))
-        da = alpha_sign * d_alpha_numeric((g1, g2), (x1, x2), (y1, y2))
-        residuals["delta_R_vs_d_alpha"] = abs(dr - da) / (1.0 + abs(dr))
+        residuals = _stack_residuals(
+            dim, samples, modes, seed, alpha_sign,
+            _streams(np.arange(first, min(first + chunk, trials))))
         for name, values in residuals.items():
             worst[name] = max(worst[name], float(np.max(values)))
 
@@ -195,33 +167,66 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
             for name, tolerance in sorted(TOLERANCES.items())]
 
 
+def _stack_residuals(dim, samples, modes, seed, alpha_sign, s):
+    """Every residual of one stack of trials, keyed like TOLERANCES.  x1,
+    y1 and g2 are drawn at 2N only: theta_grid(2N)[2j] == theta_grid(N)[j]
+    exactly, so their N-sample data are the even samples, and
+    resolution_doubling compares R(x1, y1) and alpha(g2, x1) across N, 2N."""
+    x1, y1 = (random_smooth_tangent(seed, dim, 2 * samples, modes,
+                                    stream=s[k]) for k in ("x1", "y1"))
+    g2 = random_smooth_loop(seed, dim, 2 * samples, modes, stream=s["g2"])
+    fine_R, fine_alpha = eval_R(x1, y1), eval_alpha(g2, x1)
+    x1, y1, g2 = (type(f)._trusted(f.samples[..., ::2, :, :])
+                  for f in (x1, y1, g2))
+    g1, g3 = (random_smooth_loop(seed, dim, samples, modes, stream=s[k])
+              for k in ("g1", "g3"))
+    x2, x3, y2 = (random_smooth_tangent(seed, dim, samples, modes,
+                                        stream=s[k])
+                  for k in ("x2", "x3", "y2"))
+    a, b = np.array([generator(seed, 2**20 + int(st)).uniform(
+        -1.5, 1.5, size=2) for st in s["scalars"]]).T
+
+    residuals = {
+        # the checks with the largest temporaries, before the caches fill
+        "pushforward_merge": pushforward_fd_residual(g1, g2, x1, x2),
+        "left_invariance_fd": left_invariance_fd_residual(g3, g1, g2, x1),
+        "antisymmetry": abs(eval_R(x1, y1) + eval_R(y1, x1)),
+        "bilinearity": np.maximum.reduce([
+            abs(eval_R(a * x1 + b * x2, y1)
+                - a * eval_R(x1, y1) - b * eval_R(x2, y1)),
+            abs(eval_R(x1, a * y1 + b * x3)
+                - a * eval_R(x1, y1) - b * eval_R(x1, x3)),
+            abs(eval_alpha(g2, a * x1 + b * x2)
+                - a * eval_alpha(g2, x1) - b * eval_alpha(g2, x2)),
+        ]),
+        "delta_alpha": abs(delta_form_alpha((g1, g2, g3), (x1, x2, x3))),
+        "closedness": abs(d_R_numeric(x1, x2, x3)),
+        "resolution_doubling": np.maximum(
+            abs(eval_R(x1, y1) - fine_R),
+            abs(eval_alpha(g2, x1) - fine_alpha)),
+        "left_invariance": left_invariance_check(g3, g1, g2, x1, y1),
+    }
+    dr = delta_form_R((g1, g2), (x1, x2), (y1, y2))
+    da = alpha_sign * d_alpha_numeric((g1, g2), (x1, x2), (y1, y2))
+    residuals["delta_R_vs_d_alpha"] = abs(dr - da) / (1.0 + abs(dr))
+    return residuals
+
+
 def pushforward_fd_residual(g1, g2, x1, x2):
     """Merge-face tangent formula vs direct differentiation of the
     product curve P(t) = g1 exp(tX1) g2 exp(tX2) by the fourth-order
     stencil (8(P(h) - P(-h)) - (P(2h) - P(-2h))) / 12h with
     h = PUSHFORWARD_STEP; the worst sample of each stack entry."""
     h = PUSHFORWARD_STEP
-    (_,), (tan,) = face_pushforward(1, (g1, g2), (x1, x2))
+    (base,), (tan,) = face_pushforward(1, (g1, g2), (x1, x2))
 
     def product(t):
         return displace(g1, x1, t).multiply(displace(g2, x2, t)).samples
 
     slope = (8.0 * (product(h) - product(-h))
              - (product(2.0 * h) - product(-2.0 * h))) / (12.0 * h)
-    base = g1.multiply(g2)
     fd = project_algebra(_matmul(_dagger(base.samples), slope))
     return _as_result(np.abs(fd - tan.samples).max(axis=(-3, -2, -1)))
-
-
-def doubling_residual(x, y, g, seed, modes, streams):
-    """R and alpha on the N-sample data (x, y, g) against the same smooth
-    data synthesized at 2N from the streams of x1, y1 and g2."""
-    fine = 2 * x.num_samples
-    x_f, y_f = (random_smooth_tangent(seed, x.dim, fine, modes,
-                                      stream=streams[k]) for k in ("x1", "y1"))
-    g_f = random_smooth_loop(seed, x.dim, fine, modes, stream=streams["g2"])
-    return _as_result(np.maximum(abs(eval_R(x, y) - eval_R(x_f, y_f)),
-                                 abs(eval_alpha(g, x) - eval_alpha(g_f, x_f))))
 
 
 def run_period_checks(grid=(64, 64), samples=128, degenerate=False):

@@ -98,6 +98,51 @@ def test_resolution_refinement_consistency():
     assert np.abs(fine.samples[::2] - coarse.samples).max() <= 1e-12
 
 
+def _subsampling_cases():
+    for dim in (2, 3, 4, 5):
+        for num in (16, 64, 128, 256):
+            for modes in sorted({0, 1, 3, num // 8}):
+                if modes <= num // 8:
+                    yield dim, num, modes
+
+
+@pytest.mark.parametrize("dim,num,modes", list(_subsampling_cases()))
+def test_synthesis_at_n_is_the_even_samples_at_2n(dim, num, modes):
+    # theta_grid(2N)[2j] == theta_grid(N)[j] exactly, and synthesis acts
+    # samplewise, so the battery may draw its doubled inputs at 2N only
+    for make in (random_smooth_loop, random_smooth_tangent):
+        for stream in (7, [3, 8, 2]):
+            coarse = make(13, dim, num, modes, stream=stream).samples
+            fine = make(13, dim, 2 * num, modes, stream=stream).samples
+            assert np.array_equal(fine[..., ::2, :, :], coarse)
+
+
+def test_cached_derivatives_are_exact_and_read_only():
+    g = random_smooth_loop(21, 3, N, 3, stream=[1, 2])
+    x = random_smooth_tangent(21, 3, N, 3, stream=[3, 4])
+    assert np.array_equal(x.derivative, spectral_derivative(x.samples))
+    assert np.array_equal(g.log_derivative, right_log_derivative(g))
+    assert x.derivative is x.derivative
+    assert g.log_derivative is g.log_derivative
+    for cached in (x.derivative, g.log_derivative):
+        with pytest.raises(ValueError):
+            cached[0, 0, 0, 0] = 0.0
+
+
+def test_battery_differentiates_each_field_once(monkeypatch):
+    calls = []
+    for name in ("spectral_derivative", "right_log_derivative"):
+        def counted(*args, _name=name, _original=getattr(loops, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(loops, name, counted)
+    # one stack of 8 trials
+    checks = verify.run_gamma_battery(dim=2, samples=128, modes=3, trials=8)
+    assert all(c.passed for c in checks)
+    assert calls.count("spectral_derivative") <= 13
+    assert calls.count("right_log_derivative") <= 4
+
+
 _FD8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5,
                  4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])
 _FD8_OFFSETS = (-4, -3, -2, -1, 1, 2, 3, 4)
@@ -245,8 +290,9 @@ def test_intermediates_are_not_rechecked(monkeypatch):
     checks = verify.run_gamma_battery(dim=2, samples=128, modes=3, trials=11,
                                       seed=4)
     assert all(c.passed for c in checks)
-    # per stack: g1-g3, x1-x3, y1, y2 and the doubled x1, y1, g2
-    assert len(calls) == 2 * 11
+    # per stack: g1, g3, x2, x3 and y2 at N, and x1, y1 and g2 at 2N only
+    # (their N-sample data are the even samples, not checked again)
+    assert len(calls) == 2 * 8
     del calls[:]
     _, (check, _) = verify.run_period_checks(grid=(16, 16), samples=32)
     assert check.passed and calls == []

@@ -5,7 +5,8 @@ from centrex import forms, periods, verify
 from centrex.forms import eval_R
 from centrex.loops import LoopTangent, theta_grid
 from centrex.periods import SphereFamily, sphere_period
-from centrex.su import _dagger, assert_algebra, project_algebra
+from centrex.su import (_dagger, assert_algebra, killing_form_samples,
+                        project_algebra)
 from centrex.verify import run_period_checks
 
 
@@ -79,6 +80,31 @@ def _per_node_period(family):
 def test_row_stacked_period_matches_per_node_reference(orientation):
     fam = SphereFamily(16, 16, 64, orientation=orientation)
     assert abs(sphere_period(fam) - _per_node_period(fam)) <= 1e-13
+
+
+def _per_row_gram_period(family):
+    # the Gram quadrature one u-row at a time, blocks at scalar u
+    gram = periods.profile_gram(family.num_samples)
+    w_u = periods._simpson_weights(family.grid_u) * np.pi / family.grid_u
+    total = 0.0
+    for i in range(family.grid_u + 1):
+        a, b = family.coefficient_blocks(
+            *family.node(i, np.arange(family.grid_phi)))
+        pairs = killing_form_samples(a[:, :, None], b[:, None, :])
+        row = (pairs * gram).sum(axis=(-2, -1)).sum()
+        total += w_u[i] * row * 2.0 * np.pi / family.grid_phi
+    return total
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_row_stacks_that_do_not_divide_the_grid(orientation):
+    # 96 phi nodes: stacks of 10 u-rows, so the 65 rows end in a stack of 5
+    fam = SphereFamily(64, 96, 16, orientation=orientation)
+    assert (fam.grid_u + 1) % (periods._STACK_NODES // fam.grid_phi) != 0
+    period = sphere_period(fam)
+    assert period == _per_row_gram_period(fam)
+    if orientation == 1:
+        assert abs(period - _per_node_period(fam)) <= 1e-13
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
