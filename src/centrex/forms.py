@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .loops import (LoopTangent, _as_result, circle_integral,
-                    conjugate_tangent)
+from .loops import LoopTangent, _LazyProduct, _as_result, circle_integral
 from .su import (_dagger, _matmul, exp_stack, killing_form_samples,
                  project_algebra)
 
@@ -65,6 +64,8 @@ def face_pushforward(i, loops, tangents):
 
     Drop faces drop the pair; the merge at position i sends
     (g_i, g_{i+1}) to g_i g_{i+1} with tangent Ad(g_{i+1}^{-1}) X_i + X_{i+1}.
+    The merged loop is formed only if its samples are read (the
+    coboundaries do not), Ad(g_{i+1}^{-1}) X_i once per tangent and loop.
     """
     q = len(loops)
     if q not in (2, 3) or len(tangents) != q:
@@ -76,8 +77,8 @@ def face_pushforward(i, loops, tangents):
     if i == q:
         return loops[:-1], tangents[:-1]
     a, b = loops[i - 1], loops[i]
-    merged = a.multiply(b)
-    pushed = conjugate_tangent(b.inverse(), tangents[i - 1]) + tangents[i]
+    merged = _LazyProduct(a, b)
+    pushed = tangents[i - 1].adjoint_inverse(b) + tangents[i]
     return (loops[:i - 1] + (merged,) + loops[i + 1:],
             tangents[:i - 1] + (pushed,) + tangents[i + 1:])
 
@@ -177,10 +178,11 @@ def left_invariance_fd_residual(k, g1, g2, x1):
     g = g1 and at g = k g1, and compare the alpha pairings.  Algebraically
     identical; only float noise from the extra multiplication survives.
     The difference is formed with g multiplied in, since translating g is
-    the point."""
+    the point; the minus point uses exp(-hX) = exp(hX)^* on SU(n)."""
     h = LEFT_INVARIANCE_STEP
     bases = np.stack((g1.samples, k.multiply(g1).samples))
-    plus, minus = exp_stack(np.stack((h * x1.samples, -h * x1.samples)))
+    plus = exp_stack(h * x1.samples)
+    minus = _dagger(plus)
     tan = LoopTangent._trusted(project_algebra(_matmul(
         _dagger(bases), _matmul(bases, plus) - _matmul(bases, minus))
         / (2.0 * h)))

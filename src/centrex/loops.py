@@ -14,12 +14,13 @@ stack separately, so a stack of B loops costs one call, not B.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .rng import generator
+from .rng import stream_draws
 from .su import (_dagger, _gaussian_algebra, _matmul, assert_algebra,
                  assert_special_unitary, exp_stack, project_algebra)
 
@@ -84,6 +85,17 @@ class _Sampled:
         object.__setattr__(obj, "samples", _ingest(samples, cls.__name__))
         return obj
 
+    def _once(self, other, make):
+        """make(), formed once per other operand and kept with self (one
+        kind of product per class); other is held weakly, so kept products
+        form no reference cycle, and a dead entry is never reused."""
+        formed = self.__dict__.setdefault("_formed", {})
+        ref, value = formed.get(id(other), (None, None))
+        if ref is None or ref() is not other:
+            value = make()
+            formed[id(other)] = weakref.ref(other), value
+        return value
+
     @property
     def num_samples(self):
         return self.samples.shape[-3]
@@ -105,10 +117,23 @@ class DiscreteLoop(_Sampled):
         return _read_only(right_log_derivative(self))
 
     def multiply(self, other):
-        return DiscreteLoop._trusted(_matmul(self.samples, other.samples))
+        return self._once(other, lambda: DiscreteLoop._trusted(
+            _matmul(self.samples, other.samples)))
 
     def inverse(self):
         return DiscreteLoop._trusted(_dagger(self.samples))
+
+
+class _LazyProduct(DiscreteLoop):
+    """The loop a b, formed when its samples are first read."""
+
+    def __init__(self, a, b):
+        object.__setattr__(self, "_factors", (a, b))
+
+    @cached_property
+    def samples(self):
+        a, b = self._factors
+        return _ingest(_matmul(a.samples, b.samples), "DiscreteLoop")
 
 
 class LoopTangent(_Sampled):
@@ -124,6 +149,11 @@ class LoopTangent(_Sampled):
     def derivative(self):
         """spectral_derivative of the samples, computed once (read-only)."""
         return _read_only(spectral_derivative(self.samples))
+
+    def adjoint_inverse(self, loop):
+        """Ad(g^{-1}) X for the loop g, formed once per loop."""
+        return self._once(
+            loop, lambda: conjugate_tangent(loop.inverse(), self))
 
     def __add__(self, other):
         return LoopTangent._trusted(self.samples + other.samples)
@@ -224,8 +254,8 @@ def _smooth_field(seed, dim, num_samples, modes, stream, constant, decay):
     leading = [constant] if constant else []
     scales = np.array(leading + [decay(k) for k in range(1, modes + 1)
                                  for _ in (0, 1)])
-    normals = np.stack([generator(seed, int(s)).standard_normal(
-        scales.shape + (2, dim, dim)) for s in streams.reshape(-1)])
+    normals = stream_draws(seed, streams.reshape(-1), "standard_normal",
+                           scales.shape + (2, dim, dim))
     coeffs = _gaussian_algebra(normals, scales)[..., None]
     theta = theta_grid(num_samples)
     field = np.zeros((streams.size, dim, dim, num_samples),

@@ -18,11 +18,11 @@ from .errors import CapacityError
 from .forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
                     delta_form_alpha, eval_R, eval_alpha, face_pushforward,
                     left_invariance_check, left_invariance_fd_residual)
-from .loops import (_as_result, _check_grid, displace, random_smooth_loop,
+from .loops import (_as_result, _check_grid, random_smooth_loop,
                     random_smooth_tangent)
 from .periods import SphereFamily, equator_rows, sphere_period
-from .rng import generator
-from .su import _dagger, _matmul, project_algebra
+from .rng import stream_draws
+from .su import _dagger, _matmul, exp_stack, project_algebra
 
 TOLERANCES = {
     "antisymmetry": 1e-11,
@@ -51,12 +51,13 @@ MIN_SAMPLES_WITH_MODES = 64
 
 # Capacity guards, set from the measured cost of the batched code (README).
 # The battery costs about trials * samples * dim^2 * (modes + 256) units.
-# The offset stands for the fixed work per sample (synthesis of five
-# inputs at N and three at 2N, the exponentials of the pushforward
-# stencil and of the left-invariance chart); it over-counts that work at
-# small modes, so the guard is conservative: its corners take 5 to 14 s
-# (README).  The period costs grid_u * grid_phi coefficient-block
-# pairings per grid (the doubled grid has four times as many),
+# The offset stands for the fixed work per sample (synthesis of eight
+# fields in four calls, five at N and three at 2N; one exponential per
+# tangent and step of the pushforward stencil and one for the
+# left-invariance chart); it over-counts that work at small modes, so the
+# guard is conservative: its corners take 1.4 to 5.8 s (README).  The
+# period costs grid_u * grid_phi coefficient-block pairings per grid
+# (the doubled grid has four times as many),
 # independent of samples, plus one full eval_R row per grid, whose
 # doubled-grid row holds 2 * grid_phi * samples matrices.  With
 # samples >= 16 the work guard caps the pairings at 2^19 (2^21 doubled)
@@ -86,11 +87,12 @@ class CheckResult:
         }
 
 
-# Trials are synthesized and checked in stacks of _CHUNK_SAMPLES // samples
-# (at least one), so a stack holds about _CHUNK_SAMPLES sample matrices
-# per array at any N.  A trial's residuals do not depend on the other
-# trials of its stack.
-_CHUNK_SAMPLES = 1024
+# Trials are synthesized and checked in stacks of
+# _STACK_ENTRIES // (samples * dim^2) trials (at least one), so an array of
+# N-sample fields holds about _STACK_ENTRIES complex entries at any N and
+# dim (8 trials at dim 3, 18 at dim 2, N = 128).  A trial's residuals do
+# not depend on the other trials of its stack.
+_STACK_ENTRIES = 9 * 1024
 
 
 def _streams(trials):
@@ -154,7 +156,7 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
     if not trials:
         return []
     worst = {name: 0.0 for name in TOLERANCES}
-    chunk = max(1, _CHUNK_SAMPLES // samples)
+    chunk = max(1, _STACK_ENTRIES // (samples * dim**2))
     for first in range(0, trials, chunk):
         residuals = _stack_residuals(
             dim, samples, modes, seed, alpha_sign,
@@ -172,24 +174,34 @@ def _stack_residuals(dim, samples, modes, seed, alpha_sign, s):
     y1 and g2 are drawn at 2N only: theta_grid(2N)[2j] == theta_grid(N)[j]
     exactly, so their N-sample data are the even samples, and
     resolution_doubling compares R(x1, y1) and alpha(g2, x1) across N, 2N."""
-    x1, y1 = (random_smooth_tangent(seed, dim, 2 * samples, modes,
-                                    stream=s[k]) for k in ("x1", "y1"))
-    g2 = random_smooth_loop(seed, dim, 2 * samples, modes, stream=s["g2"])
+    def synthesize(make, num_samples, *names):
+        # one call for the named streams, split into views per name
+        field = make(seed, dim, num_samples, modes,
+                     stream=np.stack([s[k] for k in names]))
+        return [type(field)._trusted(f) for f in field.samples]
+
+    x1, y1 = synthesize(random_smooth_tangent, 2 * samples, "x1", "y1")
+    (g2,) = synthesize(random_smooth_loop, 2 * samples, "g2")
     fine_R, fine_alpha = eval_R(x1, y1), eval_alpha(g2, x1)
     x1, y1, g2 = (type(f)._trusted(f.samples[..., ::2, :, :])
                   for f in (x1, y1, g2))
-    g1, g3 = (random_smooth_loop(seed, dim, samples, modes, stream=s[k])
-              for k in ("g1", "g3"))
-    x2, x3, y2 = (random_smooth_tangent(seed, dim, samples, modes,
-                                        stream=s[k])
-                  for k in ("x2", "x3", "y2"))
-    a, b = np.array([generator(seed, 2**20 + int(st)).uniform(
-        -1.5, 1.5, size=2) for st in s["scalars"]]).T
+    g1, g3 = synthesize(random_smooth_loop, samples, "g1", "g3")
+    x2, x3, y2 = synthesize(random_smooth_tangent, samples, "x2", "x3", "y2")
+    a, b = stream_draws(seed, 2**20 + s["scalars"], "uniform", -1.5, 1.5,
+                        2).T
 
     residuals = {
-        # the checks with the largest temporaries, before the caches fill
+        # the checks with the largest temporaries, and the two that share
+        # k g1, before the derivative and product caches fill
         "pushforward_merge": pushforward_fd_residual(g1, g2, x1, x2),
         "left_invariance_fd": left_invariance_fd_residual(g3, g1, g2, x1),
+        "left_invariance": left_invariance_check(g3, g1, g2, x1, y1),
+    }
+    dr = delta_form_R((g1, g2), (x1, x2), (y1, y2))
+    da = alpha_sign * d_alpha_numeric((g1, g2), (x1, x2), (y1, y2))
+    residuals.update({
+        "delta_R_vs_d_alpha": abs(dr - da) / (1.0 + abs(dr)),
+        "delta_alpha": abs(delta_form_alpha((g1, g2, g3), (x1, x2, x3))),
         "antisymmetry": abs(eval_R(x1, y1) + eval_R(y1, x1)),
         "bilinearity": np.maximum.reduce([
             abs(eval_R(a * x1 + b * x2, y1)
@@ -199,16 +211,11 @@ def _stack_residuals(dim, samples, modes, seed, alpha_sign, s):
             abs(eval_alpha(g2, a * x1 + b * x2)
                 - a * eval_alpha(g2, x1) - b * eval_alpha(g2, x2)),
         ]),
-        "delta_alpha": abs(delta_form_alpha((g1, g2, g3), (x1, x2, x3))),
         "closedness": abs(d_R_numeric(x1, x2, x3)),
         "resolution_doubling": np.maximum(
             abs(eval_R(x1, y1) - fine_R),
             abs(eval_alpha(g2, x1) - fine_alpha)),
-        "left_invariance": left_invariance_check(g3, g1, g2, x1, y1),
-    }
-    dr = delta_form_R((g1, g2), (x1, x2), (y1, y2))
-    da = alpha_sign * d_alpha_numeric((g1, g2), (x1, x2), (y1, y2))
-    residuals["delta_R_vs_d_alpha"] = abs(dr - da) / (1.0 + abs(dr))
+    })
     return residuals
 
 
@@ -216,15 +223,19 @@ def pushforward_fd_residual(g1, g2, x1, x2):
     """Merge-face tangent formula vs direct differentiation of the
     product curve P(t) = g1 exp(tX1) g2 exp(tX2) by the fourth-order
     stencil (8(P(h) - P(-h)) - (P(2h) - P(-2h))) / 12h with
-    h = PUSHFORWARD_STEP; the worst sample of each stack entry."""
+    h = PUSHFORWARD_STEP; the worst sample of each stack entry.  P(-t)
+    takes exp(-tX) = exp(tX)^*: one exponential per tangent and step."""
     h = PUSHFORWARD_STEP
     (base,), (tan,) = face_pushforward(1, (g1, g2), (x1, x2))
 
-    def product(t):
-        return displace(g1, x1, t).multiply(displace(g2, x2, t)).samples
+    def difference(t):
+        # P(t) - P(-t), each product associated as (g1 E1)(g2 E2)
+        e1, e2 = (exp_stack(t * x.samples) for x in (x1, x2))
+        return (_matmul(_matmul(g1.samples, e1), _matmul(g2.samples, e2))
+                - _matmul(_matmul(g1.samples, _dagger(e1)),
+                          _matmul(g2.samples, _dagger(e2))))
 
-    slope = (8.0 * (product(h) - product(-h))
-             - (product(2.0 * h) - product(-2.0 * h))) / (12.0 * h)
+    slope = (8.0 * difference(h) - difference(2.0 * h)) / (12.0 * h)
     fd = project_algebra(_matmul(_dagger(base.samples), slope))
     return _as_result(np.abs(fd - tan.samples).max(axis=(-3, -2, -1)))
 

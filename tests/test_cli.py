@@ -447,11 +447,12 @@ def test_verify_negate_alpha_fails(tmp_path):
 @pytest.mark.parametrize("dim", ["2", "3"])
 def test_verify_report_independent_of_chunk(tmp_path, monkeypatch, dim):
     # a trial's residuals never depend on the trials stacked beside it;
-    # 11 trials at N = 128 make one full stack and one partial stack
+    # at N = 128, 11 trials make one partial stack at dim 2 and one full
+    # and one partial stack at dim 3, against one trial per stack
     flags = ["verify", "--dim", dim, "--trials", "11", "--seed", "2"]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(flags + ["--out", str(a)]) == 0
-    monkeypatch.setattr(verify, "_CHUNK_SAMPLES", 1)
+    monkeypatch.setattr(verify, "_STACK_ENTRIES", 1)
     assert main(flags + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 

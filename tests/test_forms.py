@@ -349,3 +349,14 @@ def test_mutation_fails_only_its_row(monkeypatch, mutation, row, dim):
     checks = run_gamma_battery(dim=dim, samples=64, trials=4, seed=3,
                                alpha_sign=alpha_sign)
     assert [c.name for c in checks if not c.passed] == [row]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_battery_residuals_do_not_depend_on_the_stacking(monkeypatch, dim):
+    # 11 trials at N = 64: one stack at dims 2 and 3, stacks of 5, 5 and 1
+    # at dim 5; against one trial per stack, every residual is equal
+    stacked = run_gamma_battery(dim=dim, samples=64, trials=11, seed=6)
+    monkeypatch.setattr(verify, "_STACK_ENTRIES", 1)
+    single = run_gamma_battery(dim=dim, samples=64, trials=11, seed=6)
+    assert [c.residual for c in stacked] == [c.residual for c in single]
+    assert stacked == single

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -141,6 +143,64 @@ def test_battery_differentiates_each_field_once(monkeypatch):
     assert all(c.passed for c in checks)
     assert calls.count("spectral_derivative") <= 13
     assert calls.count("right_log_derivative") <= 4
+
+
+def test_battery_forms_each_product_once(monkeypatch):
+    # one stack of 8 trials at dim 3, N = 128: every _matmul operand holds
+    # 1024 matrices at N; the parent of this count formed g1 g2 four times,
+    # Ad(g2^-1) X1 three times and k g1 twice, and took both exponentials
+    # of each stencil step (12 exp_stack calls, 77 units)
+    work = {"exp_stack": 0, "units": 0.0}
+    matmul, exp = su._matmul, su.exp_stack
+
+    def counted_matmul(a, b):
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        work["units"] += np.prod(shape[:-2]) / 1024
+        return matmul(a, b)
+
+    def counted_exp(x):
+        work["exp_stack"] += 1
+        return exp(x)
+
+    for module in (su, loops, forms, verify):
+        if hasattr(module, "_matmul"):
+            monkeypatch.setattr(module, "_matmul", counted_matmul)
+        if hasattr(module, "exp_stack"):
+            monkeypatch.setattr(module, "exp_stack", counted_exp)
+    checks = verify.run_gamma_battery(dim=3, samples=128, modes=3, trials=8)
+    assert all(c.passed for c in checks)
+    assert work["exp_stack"] <= 7
+    assert work["units"] <= 66
+
+
+def test_products_are_kept_once_per_operand():
+    g, h = (random_smooth_loop(3, 2, 64, 2, stream=k) for k in (0, 1))
+    x = random_smooth_tangent(3, 2, 64, 2, stream=2)
+    gh = g.multiply(h)
+    assert g.multiply(h) is gh and np.array_equal(
+        gh.samples, su._matmul(g.samples, h.samples))
+    assert x.adjoint_inverse(h) is x.adjoint_inverse(h)
+    # an equal loop that is another object gets its own entry
+    twin = DiscreteLoop(h.samples)
+    assert g.multiply(twin) is not gh
+    assert np.array_equal(g.multiply(twin).samples, gh.samples)
+
+
+def test_kept_products_form_no_reference_cycle():
+    # each loop keeps its product with the other and holds the other
+    # weakly, so both are freed with their last reference, without a
+    # garbage collection
+    g, h = (random_smooth_loop(3, 2, 64, 2, stream=k) for k in (0, 1))
+    g.multiply(h), h.multiply(g)
+    x = random_smooth_tangent(3, 2, 64, 2, stream=2)
+    x.adjoint_inverse(g)
+    refs = [weakref.ref(f) for f in (g, h, x)]
+    gc.disable()
+    try:
+        del g, h, x
+        assert [r() for r in refs] == [None] * 3
+    finally:
+        gc.enable()
 
 
 _FD8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5,
@@ -286,13 +346,14 @@ def _count_checks(monkeypatch):
 
 def test_intermediates_are_not_rechecked(monkeypatch):
     calls = _count_checks(monkeypatch)
-    # 128 samples: stacks of 8 trials, so 11 trials make two stacks
+    # dim 2, 128 samples: stacks of 18 trials, so 11 trials make one stack
     checks = verify.run_gamma_battery(dim=2, samples=128, modes=3, trials=11,
                                       seed=4)
     assert all(c.passed for c in checks)
-    # per stack: g1, g3, x2, x3 and y2 at N, and x1, y1 and g2 at 2N only
-    # (their N-sample data are the even samples, not checked again)
-    assert len(calls) == 2 * 8
+    # one check per synthesis call: (g1, g3), (x2, x3, y2) at N, and
+    # (x1, y1), g2 at 2N only (their N-sample data are the even samples,
+    # not checked again)
+    assert len(calls) == 4
     del calls[:]
     _, (check, _) = verify.run_period_checks(grid=(16, 16), samples=32)
     assert check.passed and calls == []

@@ -256,3 +256,17 @@ def test_residual_helpers_detect_violations():
     assert unitary_residual(reflection) == (0.0, 2.0)
     with pytest.raises(ValueError):
         assert_special_unitary(reflection)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exp_of_negated_input_is_the_dagger(n):
+    # the stencils take exp(-tX) as exp(tX)^*: equal to within 4 ulp of
+    # the entry magnitudes (bit for bit at n = 2)
+    eps = np.finfo(np.float64).eps
+    for k, scale in enumerate((1e-4, 2e-4, 0.5, 3.0)):
+        x = random_algebra(generator(41, 10 * n + k), n, np.full(500, scale))
+        a, b = exp_stack(-x), _dagger(exp_stack(x))
+        magnitude = np.abs(a).max(axis=(-2, -1), keepdims=True)
+        assert (np.abs(a - b) <= 4 * eps * magnitude).all()
+        if n == 2:
+            assert np.array_equal(a, b)
