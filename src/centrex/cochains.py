@@ -141,44 +141,57 @@ def face_map(group, p, i, elements):
             + elements[i + 1:])
 
 
-def _face_grids(table, grids, i):
-    """Pull the index grids of G^{p+1} back through the face d_i.
+def _sum_dtype(p, n):
+    """int16 or int64 while it holds the alternating sum of p + 2 values
+    in [0, n), bounded by (p + 2)(n - 1); Python integers beyond."""
+    bound = (p + 2) * (n - 1)
+    for dtype in (np.int16, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return object
 
-    The array form of ``face_map``: ``delta_stack`` indexes cochains with
-    the result, ``cohomology.delta_matrix`` flattens it into columns and
-    ``cohomology._light_rows`` into rows of the lift.
-    """
-    q = len(grids)
-    if i == 0:
-        return tuple(grids[1:])
-    if i == q:
-        return tuple(grids[:-1])
-    merged = table[grids[i - 1], grids[i]]
-    return tuple(grids[:i - 1]) + (merged,) + tuple(grids[i + 1:])
+
+def _alternating_sum(table, p, values):
+    """The unreduced sum_i (-1)^i c o d_i in the dtype of ``values``
+    (leading stack axes, then (m,)*p): the array form of ``face_map``.
+    Faces 0 and p+1 are broadcasts along a new first or last group axis;
+    merge face i takes c through the table along group axis i - 1."""
+    m = table.shape[0]
+    lead = values.ndim - p
+    out = np.empty(values.shape[:lead] + (m,) * (p + 1), dtype=values.dtype)
+    np.copyto(out, np.expand_dims(values, lead))
+    for i in range(1, p + 1):
+        term = np.take(values, table, axis=lead + i - 1)
+        if i % 2:
+            out -= term
+        else:
+            out += term
+    if p % 2:
+        out += values[..., None]
+    else:
+        out -= values[..., None]
+    return out
 
 
 def delta_stack(group, n, p, values):
     """Bar differential on degree-p cochain values with leading stack axes.
 
-    ``values`` has shape (...,) + (m,)*p and the result (...,) + (m,)*(p+1),
-    reduced into [0, n); each stack entry is differentiated on its own.
+    ``values`` has shape (...,) + (m,)*p with entries in [0, n), and the
+    result (...,) + (m,)*(p+1), reduced into [0, n), in the type of
+    ``_sum_dtype`` (int64 for Python integers); each stack entry is
+    differentiated on its own.
     """
     m = group.order
-    values = np.asarray(values, dtype=np.int64)
+    values = np.asarray(values)
     lead = values.shape[:values.ndim - p]
-    shape = (m,) * (p + 1)
     size = m ** (p + 1) * prod(lead)
     if size > MAX_DELTA_OUTPUT:
         raise CapacityError("delta output has %d entries (limit %d)"
                             % (size, MAX_DELTA_OUTPUT))
-    out = np.zeros(lead + shape, dtype=np.int64)
-    if p == 0:
-        # both faces of a 1-tuple land on the empty tuple: the terms cancel
-        return out
-    grids = np.indices(shape)
-    for i in range(p + 2):
-        term = values[(Ellipsis,) + _face_grids(group.table, grids, i)]
-        out += term if i % 2 == 0 else -term
+    dtype = _sum_dtype(p, n)
+    out = _alternating_sum(group.table, p, values.astype(dtype, copy=False))
+    if dtype is object:
+        return np.mod(out, n).astype(np.int64)
     return np.mod(out, n, out=out)
 
 

@@ -21,7 +21,7 @@ the k at which that holds for every g, h are closed under products (Light's
 associativity test, Clifford & Preston, The Algebraic Theory of Semigroups
 I, 1961, section 1.2; see groups._check_associative).  So once they contain
 S they are all of G.  ``groups.generating_set`` picks S with
-|S| <= log2(m).
+|S| <= log2(m), once per group (``FiniteGroup.generators``).
 
 Nor does Z^2 need all m^2 unknowns.  The row (g, h, s) of delta^2 reads
 
@@ -42,9 +42,11 @@ c(e, e), so they vanish identically on its image and drop out.  A cocycle
 c is L of its own coordinates, by the two lemmas, and L(x) is a cocycle
 exactly when the other generator rows vanish on it.  So Z^2 = L(ker M),
 where M is the generator rows of delta^2 composed with L, gathered from
-the rows of L: at most m^2 |S| rows by (m - 1) |S| + 1 columns instead of
-m^2 columns.  A coboundary is a cocycle, so it is L of its coordinates
-too, and B^2 in coordinates is the image W of delta^1 on their rows.
+the rows of L by the faces of ``delta`` (two broadcasts and two takes
+through the table): at most m^2 |S| rows by (m - 1) |S| + 1 columns
+instead of m^2 columns.  A coboundary is a cocycle, so it is L of its
+coordinates too, and B^2 in coordinates is the image W of delta^1 on
+their rows.
 
 Its order is n^m / |ker delta^1|, and ker delta^1 = Hom(G, Z/n).  A
 homomorphism is fixed by its values f(s), lifted along the same tree by
@@ -53,10 +55,12 @@ the other edges (h, s) of Cay(G, S): |Hom| is the kernel of at most m |S|
 rows by |S| columns.  In the coordinates of the SNF of M, Z^2 is a sum of
 cyclic groups; the quotient H^2 = Z^2 / B^2 leaves out those of order 1,
 which are zero on Z^2.  Representatives and Z^2 generators are lifted
-through L.  The full delta over all m^3 triples (``cli`` row
-``z2_full_delta``) checks every lifted cochain apart from this recursion,
-and ``counts_consistent`` checks |Z^2| from M against |B^2| from Hom
-times |H^2| from the quotient.
+through L, each representative as a weighted sum of the generators.  The
+``cli`` row ``z2_full_delta`` checks them apart from this recursion: the
+full delta over all m^3 triples on each generator, and each
+representative against its weighted sum (delta is linear).
+``counts_consistent`` checks |Z^2| from M against |B^2| from Hom times
+|H^2| from the quotient.
 
 The oracle keeps the full delta over all m^3 triples as its reference but
 never builds the m^3 x m^2 matrix of delta^2 or the n^(m^2) cochains.  It
@@ -74,9 +78,8 @@ from math import gcd, prod
 
 import numpy as np
 
-from .cochains import Cochain, _face_grids, delta, delta_stack
+from .cochains import Cochain, _alternating_sum, delta, delta_stack
 from .errors import CapacityError
-from .groups import generating_set
 
 MAX_GROUP_ORDER = 32
 MAX_MODULUS = 8
@@ -98,18 +101,12 @@ def check_capacity(group, n):
 
 
 def delta_matrix(group, p):
-    """Integer matrix of the bar differential M^p -> M^{p+1} (row-major),
-    built from the same face grids as ``delta``."""
+    """Integer matrix of the bar differential M^p -> M^{p+1} (row-major):
+    column j is the unreduced delta of the j-th unit p-cochain."""
     m = group.order
-    grids = np.indices((m,) * (p + 1)).reshape(p + 1, -1)
-    rows, cols = grids.shape[1], m ** p
-    A = np.zeros((rows, cols), dtype=np.int64)
-    row_ids = np.arange(rows)
-    for i in range(p + 2):
-        face = _face_grids(group.table, grids, i)
-        col_ids = np.ravel_multi_index(face, (m,) * p) if p else 0
-        np.add.at(A, (row_ids, col_ids), (-1) ** i)
-    return A
+    units = np.eye(m ** p, dtype=np.int64).reshape((m ** p,) + (m,) * p)
+    deltas = _alternating_sum(group.table, p, units)
+    return np.ascontiguousarray(deltas.reshape(m ** p, -1).T)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +199,28 @@ def _clear(fwd, inv, n):
     return True
 
 
+def _rank_one(S, V, Vinv, n):
+    """Clear the pivot row and column of S at once when the pivot a
+    divides (as integers) every entry of both, else return False: the
+    arithmetic of ``_clear`` on the nonzero cross, V and Vinv."""
+    a = int(S[0, 0])
+    below = np.flatnonzero(S[1:, 0]) + 1
+    right = np.flatnonzero(S[0, 1:]) + 1
+    col, row = S[below, 0], S[0, right]
+    if a > 1:
+        if (col % a).any() or (row % a).any():
+            return False
+        col, row = col // a, row // a
+    rows = below[:, None]
+    S[rows, right] = (S[rows, right] - col[:, None] * S[0, right]) % n
+    S[below, 0] = 0
+    S[0, right] = 0
+    live = np.flatnonzero(V[:, 0])[:, None]
+    V[live, right] = (V[live, right] - V[live, 0] * row) % n
+    Vinv[0] = (Vinv[0] + row @ Vinv[right]) % n
+    return True
+
+
 def _pivot(S, n):
     """Row-major first position of the smallest nonzero entry, or None.
     Rows are scanned in blocks of about 2^16 entries, so a hit near the
@@ -224,10 +243,12 @@ def smith_normal_form(A, n):
     diagonal plus the column transform V and its inverse, so that
     U A V = diag (mod n) for some invertible U that is not kept.  A caller
     that needs U of a matrix M runs M^T instead: U(M) = V(M^T)^T.  The
-    pivot is the smallest nonzero residue left; entries it divides are
-    eliminated exactly, any other entry takes a Bezout step, which lowers
-    the pivot, so a pivot takes at most n - 1 of them.  The diagonal is
-    not normalized to a divisibility chain, which none of the callers need.
+    pivot is the smallest nonzero residue left.  When it divides every
+    entry of its row and column, one rank-1 update clears both; otherwise
+    entries it divides are eliminated exactly and any other entry takes a
+    Bezout step, which lowers the pivot, so a pivot takes at most n - 1 of
+    them.  The diagonal is not normalized to a divisibility chain, which
+    none of the callers need.
     """
     A = np.mod(np.asarray(A, dtype=np.int64), n)
     r, k = A.shape
@@ -242,8 +263,9 @@ def smith_normal_form(A, n):
         cols = ([S.T, V[:, t:].T], [Vinv[t:].T])
         _swap(*rows, at[0])
         _swap(*cols, at[1])
-        while _clear(*rows, n) or _clear(*cols, n):
-            pass
+        if not _rank_one(S, V[:, t:], Vinv[t:], n):
+            while _clear(*rows, n) or _clear(*cols, n):
+                pass
         diag.append(int(S[0, 0]))
     return SNFResult(diag=diag, V=V, Vinv=Vinv)
 
@@ -301,6 +323,8 @@ class SecondCohomology:
     invariant_factors: list
     representatives: list
     z2_generators: list
+    # representative i is sum_j weights[i, j] z2_generators[j] (mod n)
+    weights: np.ndarray
 
 
 def _cayley_tree(table, gens):
@@ -345,18 +369,19 @@ def _lift(table, gens, tree, coords, n):
 
 def _light_rows(table, L, gens, n):
     """The rows (g, h, s), s in ``gens``, of delta^2 composed with the lift
-    L (its stack of lifted unit vectors), gathered from the rows of L
-    through the face grids of ``delta``.  Rows that vanish mod n, the tree
-    edges and the rows (g, e, s) among them, are dropped."""
+    L (its stack of lifted unit vectors), gathered from the rows of L by
+    the faces of ``delta``: c(h, s) and c(g, h) are broadcasts, c(gh, s)
+    and c(g, hs) are taken through the table.  Rows that vanish mod n, the
+    tree edges and the rows (g, e, s) among them, are dropped."""
     m = table.shape[0]
-    Lt = np.ascontiguousarray(L.reshape(len(L), m * m).T)
-    grids = np.indices((m, m, len(gens))).reshape(3, -1)
-    grids[2] = gens[grids[2]]
-    M = np.zeros((grids.shape[1], len(L)), dtype=_LIFT_DTYPE)
-    for i in range(4):
-        rows = Lt[np.ravel_multi_index(_face_grids(table, grids, i), (m, m))]
-        M += rows if i % 2 == 0 else -rows
+    C = np.ascontiguousarray(L.reshape(len(L), m * m).T).reshape(m, m, -1)
+    at_gens = C[:, gens]
+    M = np.take(C, table[:, gens], axis=1)
+    M -= np.take(at_gens, table, axis=0)
+    M += at_gens
+    M -= C[:, :, None]
     np.mod(M, n, out=M)
+    M = M.reshape(m * m * len(gens), len(L))
     return M[M.any(axis=1)]
 
 
@@ -380,7 +405,7 @@ def second_cohomology(group, n):
     docstring)."""
     check_capacity(group, n)
     m, table = group.order, group.table
-    gens = generating_set(table)
+    gens = group.generators
     tree = _cayley_tree(table, gens)
     k = (m - 1) * len(gens) + 1
     L = _lift(table, gens, tree, np.eye(k, dtype=_LIFT_DTYPE), n)
@@ -418,14 +443,14 @@ def second_cohomology(group, n):
                       dtype=np.int64).reshape(size, len(live))
     # the columns of V2 * scale of order above 1 generate Z^2 in coordinates
     basis = res2.V[:, z] * scale[z] % n
-    coords = (combos @ res3.Vinv[live] % n) @ basis.T % n
+    weights = combos @ res3.Vinv[live] % n
     reps = [Cochain(group, n, 2, c)
-            for c in _lift(table, gens, tree, coords, n)]
+            for c in _lift(table, gens, tree, weights @ basis.T % n, n)]
     z2_gens = [Cochain(group, n, 2, c)
                for c in _lift(table, gens, tree, basis.T, n)]
     invariants = sorted(f for f in factors if f > 1)
     return SecondCohomology(group, n, size, z2_size, b2_size, invariants,
-                            reps, z2_gens)
+                            reps, z2_gens, weights)
 
 
 def cohomologous(c1, c2):
@@ -531,9 +556,11 @@ def exhaustive_coboundaries(group, n):
 
 def class_key(flat, coboundaries, n):
     """Canonical label of a cohomology class: lexicographic minimum of
-    the coboundary coset, as bytes."""
-    coset = np.mod(np.asarray(flat, dtype=np.int64)[None, :] - coboundaries, n)
-    return min(row.astype(np.uint8).tobytes() for row in coset)
+    the coboundary coset, as uint8 bytes."""
+    coset = np.mod(np.asarray(flat, dtype=np.int64) - coboundaries,
+                   n).astype(np.uint8)
+    # lexsort's last key is its primary one
+    return coset[np.lexsort(coset.T[::-1])[0]].tobytes()
 
 
 @dataclass

@@ -58,9 +58,9 @@ def generating_set(table):
     return np.array(gens, dtype=np.int64)
 
 
-def _check_associative(table):
+def _check_associative(table, gens):
     """The first (g, h, k) in row-major order with (gh)k != g(hk) and k in
-    ``generating_set(table)``, or None.
+    ``gens = generating_set(table)``, or None.
 
     Light's test: for any magma the set of k with (xy)k = x(yk) for all
     x, y is closed under products, since (xy)(st) = ((xy)s)t = (x(ys))t
@@ -69,7 +69,6 @@ def _check_associative(table):
     products decide what m^3 would.  Chunked over g.
     """
     m = table.shape[0]
-    gens = generating_set(table)
     right = table[:, gens]
     chunk = max(1, 2**22 // max(m * gens.size, 1))
     for g0 in range(0, m, chunk):
@@ -84,6 +83,8 @@ def _check_associative(table):
 
 
 def _validate_table(table):
+    """Check that ``table`` is the table of a group; return the generating
+    set that Light's test used."""
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise ValueError("multiplication table must be square")
     m = table.shape[0]
@@ -97,18 +98,22 @@ def _validate_table(table):
                              np.broadcast_to(ref[:, None], (m, m)))
     if not (rows_ok and cols_ok):
         raise ValueError("table is not a Latin square")
-    bad = _check_associative(table)
+    gens = generating_set(table)
+    bad = _check_associative(table, gens)
     if bad is not None:
         raise ValueError("table is not associative at (g, h, k) = %r" % (bad,))
-    return m
+    gens.setflags(write=False)
+    return gens
 
 
 class FiniteGroup:
-    """A finite group given by its multiplication table with identity 0."""
+    """A finite group given by its multiplication table with identity 0;
+    ``generators`` is the read-only S of Light's test, which H^2 reuses."""
 
     def __init__(self, table, name=""):
         table = np.ascontiguousarray(table, dtype=np.int64)
-        m = _validate_table(table)
+        self.generators = _validate_table(table)
+        m = table.shape[0]
         ref = np.arange(m)
         if not (np.array_equal(table[0], ref) and np.array_equal(table[:, 0], ref)):
             raise ValueError("element 0 is not the identity")

@@ -192,12 +192,6 @@ def conjugate_tangent(conjugator, tangent):
         _matmul(_matmul(g, tangent.samples), _dagger(g))))
 
 
-def displace(loop, tangent, amount):
-    """The loop g exp(t X), the basic chart around g (t real)."""
-    return DiscreteLoop._trusted(
-        _matmul(loop.samples, exp_stack((amount * tangent).samples)))
-
-
 # ---------------------------------------------------------------------------
 # spectral calculus on the uniform grid
 

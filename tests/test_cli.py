@@ -252,8 +252,9 @@ def test_extend_checks_cocycle_condition_once(files, tmp_path, monkeypatch):
 
 
 def test_h2_checks_cocycle_condition_once(files, monkeypatch):
-    # z2_full_delta applies the full delta to every representative, and
-    # the extension tables are built from those without a second pass
+    # z2_full_delta applies the full delta to each Z^2 generator once and
+    # to no representative: those it certifies by linearity, and the
+    # extension tables are built from them without a second pass
     calls, seen = [], []
     real_stack = cochains.delta_stack
 
@@ -276,9 +277,87 @@ def test_h2_checks_cocycle_condition_once(files, monkeypatch):
     seen.clear()
     assert main(["h2", "--group", files["d8"], "--modulus", "2"]) == 0
     assert calls == []
-    # one pass over each Z^2 generator and each representative, no more
-    expected = h2.z2_generators + h2.representatives
-    assert Counter(seen) == Counter(c.values.tobytes() for c in expected)
+    assert Counter(seen) == Counter(c.values.astype(np.int64).tobytes()
+                                    for c in h2.z2_generators)
+
+
+def _flip_entry(cochain, index):
+    """The cochain with one entry raised by 1 mod n."""
+    flat = cochain.values.reshape(-1).astype(np.int64)
+    flat[index] += 1
+    return Cochain(cochain.group, cochain.modulus, 2, flat)
+
+
+def _flip_representative(h2):
+    h2.representatives[3] = _flip_entry(h2.representatives[3], 5)
+    return {3}
+
+
+def _used_generator(h2):
+    """The first Z^2 generator with a nonzero weight in some class."""
+    return int(np.flatnonzero(h2.weights.any(axis=0))[0])
+
+
+def _flip_weight(h2):
+    j = _used_generator(h2)
+    h2.weights = h2.weights.copy()
+    h2.weights[3, j] = (h2.weights[3, j] + 1) % h2.modulus
+    return {3}
+
+
+def _flip_generator(h2):
+    # the generator fails delta, and every representative that uses it
+    # no longer matches the weighted sum
+    j = _used_generator(h2)
+    h2.z2_generators[j] = _flip_entry(h2.z2_generators[j], 5)
+    return set(np.flatnonzero(h2.weights[:, j]))
+
+
+def _flip_generator_and_representatives(h2):
+    # the representatives still match the weighted sum of the generators,
+    # but those using the open generator are not certified by it
+    j = _used_generator(h2)
+    h2.z2_generators[j] = _flip_entry(h2.z2_generators[j], 5)
+    gens = np.array([c.values.reshape(-1) for c in h2.z2_generators])
+    h2.representatives = [Cochain(h2.group, h2.modulus, 2, w @ gens)
+                          for w in h2.weights]
+    return set(np.flatnonzero(h2.weights[:, j]))
+
+
+@pytest.mark.parametrize("mutate", [
+    _flip_representative, _flip_weight, _flip_generator,
+    _flip_generator_and_representatives,
+], ids=["representative", "weight", "generator", "generator-and-sum"])
+def test_full_delta_certificate_counts_one_flipped_entry(tmp_path, monkeypatch,
+                                                          mutate):
+    # D6 as S3 x Z2 at n = 2: 8 classes over Z^2 generators
+    group = tmp_path / "d6.grp"
+    group.write_text(format_group_table(direct_product(symmetric3(),
+                                                       cyclic(2))))
+    out = tmp_path / "d6.json"
+    real, uncertified = cli.second_cohomology, {}
+
+    def mutated(group, n):
+        h2 = real(group, n)
+        uncertified["reps"] = mutate(h2)
+        uncertified["generators"] = len(h2.z2_generators)
+        return h2
+
+    monkeypatch.setattr(cli, "second_cohomology", mutated)
+    assert main(["h2", "--group", str(group), "--modulus", "2",
+                 "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    row, = [c for c in report["checks"] if c["name"] == "z2_full_delta"]
+    reps = uncertified["reps"]
+    open_generators = 1 if "generator" in mutate.__name__ else 0
+    assert 0 < len(reps) < 8
+    assert not row["passed"]
+    assert row["residual"] == len(reps) + open_generators
+    assert row["trials"] == uncertified["generators"] + 8
+    # a fingerprint only where the representative is certified
+    missing = {i for i, c in enumerate(report["payload"]["classes"])
+               if c["fingerprint"] is None}
+    assert missing == reps
 
 
 def test_counts_consistent_decides_in_the_report(files, tmp_path,

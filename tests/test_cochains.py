@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrex.cochains import (Cochain, _face_grids, delta, face_map,
+from centrex.cochains import (Cochain, delta, delta_stack, face_map,
                               format_cochain, parse_cochain, random_cochain,
                               violating_triple)
-from centrex.groups import (catalog, cyclic, klein_four, quaternion8,
-                            symmetric3)
+from centrex.groups import (catalog, cyclic, dihedral, direct_product,
+                            klein_four, quaternion8, symmetric3)
 from centrex.rng import generator
 
 Z2 = cyclic(2)
@@ -44,20 +44,44 @@ def test_face_map_index_errors():
         face_map(Z2, 1, 0, (0, 5))
 
 
-@pytest.mark.parametrize("group", [S3, quaternion8()], ids=["S3", "Q8"])
-def test_face_grids_match_face_map(group):
-    # the grids that delta and delta_matrix share, in both the (m,)*(p+1)
-    # form of delta and the flat form of delta_matrix, tuple by tuple
+_FACE_GROUPS = dict(catalog(), D8=dihedral(8),
+                    Z4xZ8=direct_product(cyclic(4), cyclic(8)))
+
+
+@pytest.mark.parametrize("name", list(_FACE_GROUPS))
+def test_delta_stack_matches_face_map(name):
+    # the broadcasts and takes of delta_stack against the alternating sum
+    # over face_map, tuple by tuple: every tuple up to 2^16 of them, a
+    # seeded sample of 4096 beyond
+    group = _FACE_GROUPS[name]
     m = group.order
-    for p in (1, 2):
-        grids = np.indices((m,) * (p + 1))
-        for i in range(p + 2):
-            cube = _face_grids(group.table, grids, i)
-            flat = _face_grids(group.table, grids.reshape(p + 1, -1), i)
-            for row, t in enumerate(product(range(m), repeat=p + 1)):
-                expected = face_map(group, p, i, t)
-                assert tuple(int(a[t]) for a in cube) == expected
-                assert tuple(int(a[row]) for a in flat) == expected
+    rng = generator(17)
+    for p in (1, 2, 3):
+        if m ** (p + 1) <= 2**16:
+            tuples = np.array(list(product(range(m), repeat=p + 1)))
+        else:
+            tuples = rng.integers(0, m, size=(4096, p + 1))
+        faces = [tuple(np.array([face_map(group, p, i, t) for t in tuples]).T)
+                 for i in range(p + 2)]
+        for n in (2, 3, 8):
+            values = rng.integers(0, n, size=(2,) + (m,) * p)
+            got = delta_stack(group, n, p, values)
+            for c, d in zip(values, got):
+                expected = sum((-1) ** i * c[face]
+                               for i, face in enumerate(faces)) % n
+                assert np.array_equal(d[tuple(tuples.T)], expected)
+
+
+def test_delta_past_int64_sums():
+    # p + 2 terms below n = 2^62 + 1 overflow int64: c(1, 1) = f(1) - f(0)
+    # + f(1) = 2^63.  Every entry against Python integers
+    n = 2**62 + 1
+    values = [0, 2**62]
+    dc = delta(Cochain(Z2, n, 1, values))
+    for g, h in product(range(2), repeat=2):
+        expected = (values[h] - values[Z2.mul(g, h)] + values[g]) % n
+        assert dc.value(g, h) == expected
+    assert dc.value(1, 1) == 2**62 - 1
 
 
 def test_delta_degree_two_formula():

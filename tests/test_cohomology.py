@@ -184,11 +184,10 @@ def test_lift_rejects_a_set_that_does_not_generate(monkeypatch):
     snfs = []
     monkeypatch.setattr(cohomology, "smith_normal_form",
                         lambda A, n: snfs.append(A))
-    real = cohomology.generating_set
-    monkeypatch.setattr(cohomology, "generating_set",
-                        lambda table: real(table)[:-1])
+    q8 = quaternion8()
+    monkeypatch.setattr(q8, "generators", q8.generators[:-1])
     with pytest.raises(AssertionError, match="does not generate"):
-        second_cohomology(quaternion8(), 2)
+        second_cohomology(q8, 2)
     assert snfs == []
 
 
@@ -215,6 +214,49 @@ def test_smith_normal_form_transforms():
             for j, d in enumerate(res.diag):
                 assert np.gcd.reduce(np.append(AV[:, j], n)) == \
                     np.gcd(d, n)
+
+
+def _snf_pivot_paths(monkeypatch, A, n):
+    """The SNF of A with and without the rank-1 update, and whether each
+    pivot took it."""
+    real, taken = cohomology._rank_one, []
+
+    def recording(S, V, Vinv, n):
+        taken.append(real(S, V, Vinv, n))
+        return taken[-1]
+
+    monkeypatch.setattr(cohomology, "_rank_one", recording)
+    fast = smith_normal_form(A, n)
+    monkeypatch.setattr(cohomology, "_rank_one", lambda S, V, Vinv, n: False)
+    return fast, smith_normal_form(A, n), taken
+
+
+@pytest.mark.parametrize("n, A, taken", [
+    # the pivot 2 divides its row and column: one update, then the pivot 4
+    (8, [[2, 4, 6], [4, 2, 0], [6, 0, 4]], [True, True, True]),
+    # the pivot 2 meets a 3 in its row: the Bezout loop
+    (6, [[2, 3], [3, 4]], [False, True]),
+], ids=["n8-dividing", "n6-bezout"])
+def test_rank_one_update_is_the_elimination(monkeypatch, n, A, taken):
+    fast, slow, paths = _snf_pivot_paths(monkeypatch, A, n)
+    assert paths == taken
+    assert fast.diag == slow.diag
+    assert np.array_equal(fast.V, slow.V)
+    assert np.array_equal(fast.Vinv, slow.Vinv)
+
+
+def test_rank_one_update_matches_on_random_matrices(monkeypatch):
+    # diag, V and Vinv bit-identical with and without the update, over
+    # moduli with unit, dividing non-unit and Bezout pivots
+    rng = generator(41)
+    for n in range(2, 9):
+        for _ in range(10):
+            A = rng.integers(0, n, size=(rng.integers(2, 9),
+                                         rng.integers(2, 9)))
+            fast, slow, _ = _snf_pivot_paths(monkeypatch, A, n)
+            assert fast.diag == slow.diag
+            assert np.array_equal(fast.V, slow.V)
+            assert np.array_equal(fast.Vinv, slow.Vinv)
 
 
 def test_kernel_mod_counts_by_enumeration():

@@ -176,7 +176,7 @@ def _latin_squares(draw):
 @example(np.array(FIVE))
 def test_check_associative_matches_brute_force(table):
     table = np.asarray(table, dtype=np.int64)
-    got = _check_associative(table)
+    got = _check_associative(table, generating_set(table))
     assert (got is None) == (_brute_force_violation(table) is None)
     if got is not None:
         g, h, k = got
@@ -190,6 +190,9 @@ def test_generating_set_size_on_groups():
         assert 0 not in gens
         assert list(gens) == sorted(gens)
         assert len(gens) <= math.log2(group.order)
+        # the group keeps the set that validation computed, read only
+        assert np.array_equal(group.generators, gens)
+        assert not group.generators.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from centrex import forms, loops, periods, su, verify
 from centrex.loops import (DiscreteLoop, LoopTangent, circle_integral,
-                           constant_loop, displace, random_smooth_loop,
+                           constant_loop, random_smooth_loop,
                            random_smooth_tangent, right_log_derivative,
                            spectral_derivative, theta_grid)
 from centrex.su import assert_algebra, assert_special_unitary, exp_stack
@@ -232,14 +232,6 @@ def test_spectral_vs_eighth_order_fd():
     assert np.array_equal(fd[0], fd_derivative8(g.samples))
 
 
-def test_displace_first_order():
-    g = random_smooth_loop(11, 2, N, 3)
-    x = random_smooth_tangent(11, 2, N, 3, stream=2)
-    moved = displace(g, x, 1e-6)
-    lin = g.samples @ (np.eye(2) + 1e-6 * x.samples)
-    assert np.abs(moved.samples - lin).max() <= 1e-11
-
-
 def test_construction_copies_the_callers_array():
     # the caller's array stays writeable whether the input is accepted or
     # rejected, and a write through a view taken before the call does not
@@ -318,15 +310,11 @@ def test_empty_matrices_rejected():
 
 @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
 def test_non_finite_scalars_rejected(fill):
-    g = random_smooth_loop(3, 2, 16, 2)
     x = random_smooth_tangent(3, 2, 16, 2)
     _rejected(lambda: fill * x)
     _rejected(lambda: x * fill)
     _rejected(lambda: np.array([1.0, fill]) * x)
-    _rejected(lambda: displace(g, x, fill))
-    # the stacked displacement rejects one bad step among good ones
-    stack = LoopTangent(np.stack((x.samples, x.samples)))
-    _rejected(lambda: displace(g, stack, np.array([0.5, fill])))
+
 
 def _count_checks(monkeypatch):
     """Count membership residuals, patched in every module binding them."""
