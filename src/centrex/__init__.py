@@ -29,7 +29,7 @@ from .extensions import (ExtensionGroup, build_extension,
                          extension_fingerprint, is_table_isomorphism,
                          pair_isomorphism)
 from .errors import CapacityError, CocycleError
-from .su import project_algebra, random_algebra
+from .su import project_algebra
 from .loops import (DiscreteLoop, LoopTangent, circle_integral,
                     constant_loop, random_smooth_loop, random_smooth_tangent)
 from .forms import (d_R_numeric, d_alpha_numeric, delta_form_R,

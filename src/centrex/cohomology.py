@@ -141,13 +141,12 @@ class SNFResult:
 # V[:, t:].T, with Vinv[t:].T as its inverse side.
 
 def _swap(fwd, inv, i):
-    """Exchange line i with the pivot line 0."""
+    """Exchange line i with the pivot line 0, through a copy of line 0;
+    a column of an inverse-side matrix is a line of its transpose."""
     if i == 0:
         return
-    for M in fwd:
-        M[[0, i]] = M[[i, 0]]
-    for M in inv:
-        M[:, [0, i]] = M[:, [i, 0]]
+    for M in fwd + [M.T for M in inv]:
+        M[0], M[i] = M[i], M[0].copy()
 
 
 def _eliminate(fwd, inv, rows, quotients, n):

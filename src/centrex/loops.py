@@ -9,7 +9,11 @@ stored.
 
 Samples have shape (..., N, n, n): any leading axes stack independent
 loops (or tangents), and every operation here acts on each entry of the
-stack separately, so a stack of B loops costs one call, not B.
+stack separately, so a stack of B loops costs one call, not B.  They are
+stored entry-major (su._entry_major): matrix entries outermost, samples
+innermost, so each [..., i, j] is one C-contiguous plane over the stack
+and the samples.  The products and the FFT along the sample axis then
+read whole planes instead of strided gathers.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .rng import stream_draws
-from .su import (_dagger, _gaussian_algebra, _matmul, assert_algebra,
-                 assert_special_unitary, exp_stack, project_algebra)
+from .su import (_dagger, _entry_major, _gaussian_algebra, _matmul,
+                 assert_algebra, assert_special_unitary, exp_stack,
+                 project_algebra)
 
 MIN_SAMPLES = 16
 
@@ -49,17 +54,31 @@ def theta_grid(num_samples):
     return 2.0 * np.pi * np.arange(num_samples) / num_samples
 
 
-def _read_only(values):
+def _entry_major_copy(values):
+    out = _entry_major(values.shape)
+    np.copyto(out, values)
+    return out
+
+
+def _frozen(values):
+    """values stored entry-major (copied only if they are not) and
+    read-only."""
+    if not values[..., 0, 0].flags.c_contiguous:
+        values = _entry_major_copy(values)
     values.setflags(write=False)
     return values
 
 
-def _ingest(samples, what):
-    samples = np.ascontiguousarray(samples, dtype=np.complex128)
+def _checked_shape(samples, what):
+    samples = np.asarray(samples, dtype=np.complex128)
     if samples.ndim < 3 or not samples.shape[-1] == samples.shape[-2] >= 1:
         raise ValueError("%s samples need shape (..., N, n, n), n > 0" % what)
     _check_grid(samples.shape[-3])
-    return _read_only(samples)
+    return samples
+
+
+def _ingest(samples, what):
+    return _frozen(_checked_shape(samples, what))
 
 
 @dataclass(frozen=True)
@@ -72,15 +91,16 @@ class _Sampled:
     def __post_init__(self):
         # a copy, so that no array or view the caller keeps can write to
         # (or be frozen with) the validated samples
-        samples = _ingest(np.array(self.samples, dtype=np.complex128,
-                                   order="C"), type(self).__name__)
+        samples = _frozen(_entry_major_copy(
+            _checked_shape(self.samples, type(self).__name__)))
         self._check_members(samples)
         object.__setattr__(self, "samples", samples)
 
     @classmethod
     def _trusted(cls, samples):
         """Store samples that are members by construction, unchecked.
-        They must be a fresh array: it is stored as it is and frozen."""
+        They must be a fresh array: if entry-major it is stored as it is
+        and frozen, otherwise copied entry-major."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "samples", _ingest(samples, cls.__name__))
         return obj
@@ -114,7 +134,7 @@ class DiscreteLoop(_Sampled):
     @cached_property
     def log_derivative(self):
         """right_log_derivative of the loop, computed once (read-only)."""
-        return _read_only(right_log_derivative(self))
+        return _frozen(right_log_derivative(self))
 
     def multiply(self, other):
         return self._once(other, lambda: DiscreteLoop._trusted(
@@ -148,7 +168,7 @@ class LoopTangent(_Sampled):
     @cached_property
     def derivative(self):
         """spectral_derivative of the samples, computed once (read-only)."""
-        return _read_only(spectral_derivative(self.samples))
+        return _frozen(spectral_derivative(self.samples))
 
     def adjoint_inverse(self, loop):
         """Ad(g^{-1}) X for the loop g, formed once per loop."""
@@ -200,13 +220,13 @@ def spectral_derivative(values):
     sample axis.
 
     Multiplies mode k by ik over the centered alias range and zeroes the
-    Nyquist mode.
+    Nyquist mode.  The result is entry-major.
     """
     values = np.asarray(values)
     num = values.shape[-3]
     k = np.fft.fftfreq(num, d=1.0 / num)
     k[num // 2] = 0.0  # Nyquist
-    spec = np.fft.fft(values, axis=-3)
+    spec = np.fft.fft(values, axis=-3, out=_entry_major(values.shape))
     spec *= (1j * k)[:, None, None]
     return np.fft.ifft(spec, axis=-3, out=spec)
 
@@ -240,8 +260,11 @@ def _smooth_field(seed, dim, num_samples, modes, stream, constant, decay):
     with scale decay(k) per mode (and a constant mode first if asked).
 
     A sequence of streams gives one field per stream, stacked along a
-    leading axis; each entry's coefficients are drawn from its own stream
-    and summed in mode order (theta innermost), exactly as for one stream.
+    leading axis; each entry's coefficients are drawn from its own stream.
+    The field is one contraction of the (K, N) basis of constant, cos and
+    sin rows with the coefficients' real and imaginary parts, summed in
+    mode order (as the mode-by-mode sum, bit for bit), written
+    entry-major.
     """
     _check_synthesis(num_samples, modes)
     streams = np.asarray(stream)
@@ -250,18 +273,19 @@ def _smooth_field(seed, dim, num_samples, modes, stream, constant, decay):
                                  for _ in (0, 1)])
     normals = stream_draws(seed, streams.reshape(-1), "standard_normal",
                            scales.shape + (2, dim, dim))
-    coeffs = _gaussian_algebra(normals, scales)[..., None]
+    coeffs = _gaussian_algebra(normals, scales)
     theta = theta_grid(num_samples)
-    field = np.zeros((streams.size, dim, dim, num_samples),
-                     dtype=np.complex128)
-    if leading:
-        field += coeffs[:, 0]
+    basis = np.empty((len(scales), num_samples))
+    basis[:len(leading)] = 1.0
     for k in range(1, modes + 1):
         j = len(leading) + 2 * k - 2          # A_k, then B_k
-        field += np.cos(k * theta) * coeffs[:, j]
-        field += np.sin(k * theta) * coeffs[:, j + 1]
-    return np.ascontiguousarray(np.moveaxis(field, -1, 1)).reshape(
-        streams.shape + (num_samples, dim, dim))
+        basis[j] = np.cos(k * theta)
+        basis[j + 1] = np.sin(k * theta)
+    field = _entry_major((streams.size, num_samples, dim, dim))
+    for part in ("real", "imag"):
+        np.einsum("kn,skab->snab", basis, getattr(coeffs, part),
+                  out=getattr(field, part))
+    return field.reshape(streams.shape + (num_samples, dim, dim))
 
 
 def random_smooth_loop(seed, dim, num_samples, modes, stream=0):

@@ -40,7 +40,7 @@ import numpy as np
 from .forms import FOUR_PI_SQUARED, eval_R
 from .loops import (DiscreteLoop, LoopTangent, _check_grid, circle_integral,
                     constant_loop, spectral_derivative, theta_grid)
-from .su import killing_form_samples
+from .su import _entry_major, killing_form_samples
 
 PAULI = np.array([
     [[0, 1], [1, 0]],
@@ -153,14 +153,19 @@ class SphereFamily:
         return out[0], out[1]
 
     def tangents_at(self, u, phi):
-        """Left-trivialized (d_u, d_phi) tangent fields, analytic.  An
-        array of phi gives tangents stacked along its shape."""
+        """Left-trivialized (d_u, d_phi) tangent fields, analytic, written
+        entry-major.  An array of phi gives tangents stacked along its
+        shape."""
         profiles = _profiles(self.num_samples)
         stack = np.shape(phi)
-        return tuple(LoopTangent._trusted(
-            (profiles @ block.reshape(stack + (2, 4))).reshape(
-                stack + (self.num_samples, 2, 2)))
-            for block in self.coefficient_blocks(u, phi))
+        shape = stack + (self.num_samples, 2, 2)
+        tangents = []
+        for block in self.coefficient_blocks(u, phi):
+            samples = _entry_major(shape)
+            np.matmul(profiles, block.reshape(stack + (2, 4)),
+                      out=samples.reshape(stack + (self.num_samples, 4)))
+            tangents.append(LoopTangent._trusted(samples))
+        return tuple(tangents)
 
 
 def _simpson_weights(intervals):

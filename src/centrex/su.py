@@ -21,12 +21,23 @@ def _dagger(a):
     return np.conjugate(np.swapaxes(a, -1, -2))
 
 
+def _entry_major(shape, dtype=np.complex128):
+    """Empty (..., n, n) array stored entry-major: the entries outermost
+    and the leading axes innermost, so each [..., i, j] is one
+    C-contiguous plane over the leading axes.  Loop-side sample stacks
+    are allocated here; ufuncs on them keep the order."""
+    lead = len(shape) - 2
+    return np.empty(tuple(shape[-2:]) + tuple(shape[:-2]),
+                    dtype=dtype).transpose(tuple(range(2, lead + 2)) + (0, 1))
+
+
 # Largest n whose stacked products _matmul unrolls.  np.matmul makes one
 # BLAS call per n x n matrix; on a stack of 1024 complex matrices the
-# unrolled loop is about 6x faster at n = 2 and 2.5x at n = 3, and no
-# faster than a @ b at n = 4 (README, "Numerical design").  The kernel is
-# private, so the benchmark tracer does not wrap it and its time counts
-# toward the calling layer.
+# unrolled loop over entry-major planes is about 11x faster at n = 2 and
+# 4 to 5x at n = 3 (README, "Numerical design", also for n = 4, where
+# it would change the round-off of a @ b).  The kernel is private,
+# so the benchmark tracer does not wrap it and its time counts toward the
+# calling layer.
 _MATMUL_UNROLL_MAX = 3
 
 
@@ -35,28 +46,30 @@ def _matmul(a, b):
     the leading axes; strided views such as _dagger's are fine).
 
     For n <= _MATMUL_UNROLL_MAX the sum over the contracted index is
-    unrolled, one column at a time, into whole-stack array operations:
-    out[..., :, k] = sum_j a[..., :, j] * b[..., j, k].  Above that it is
-    a @ b.
+    unrolled, one output entry at a time, into whole-stack operations on
+    entry-major planes: out[..., i, k] = sum_j a[..., i, j] * b[..., j, k],
+    in j order.  Above that it is a @ b.
     """
     n = a.shape[-1]
     if n > _MATMUL_UNROLL_MAX:
         return a @ b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
-                   dtype=np.result_type(a, b))
-    for k in range(n):
-        column = out[..., :, k]
-        np.multiply(a[..., :, 0], b[..., 0, k, None], out=column)
-        for j in range(1, n):
-            column += a[..., :, j] * b[..., j, k, None]
+    out = _entry_major(np.broadcast_shapes(a.shape, b.shape),
+                       np.result_type(a, b))
+    term = np.empty_like(out[..., 0, 0])
+    for i in range(n):
+        for k in range(n):
+            entry = out[..., i, k]
+            np.multiply(a[..., i, 0], b[..., 0, k], out=entry)
+            for j in range(1, n):
+                entry += np.multiply(a[..., i, j], b[..., j, k], out=term)
     return out
 
 
 def _frobenius(a):
-    """Samplewise Frobenius norm of a C-contiguous stack of complex
-    matrices, read as real vectors of length 2 n^2."""
-    v = a.view(np.float64).reshape(a.shape[:-2] + (-1,))
-    return np.sqrt(np.einsum("...i,...i->...", v, v))
+    """Samplewise Frobenius norm of a stack of complex matrices, summed
+    over the real and imaginary parts without a squared temporary."""
+    return np.sqrt(np.einsum("...ab,...ab->...", a.real, a.real)
+                   + np.einsum("...ab,...ab->...", a.imag, a.imag))
 
 
 def _det(a):
@@ -100,7 +113,7 @@ def assert_special_unitary(g, tol=UNITARY_TOL):
 def algebra_residual(x):
     """max of ||X + X*||_F and |tr X| (stacked input: worst sample)."""
     x = np.asarray(x, dtype=np.complex128)
-    skew = np.conjugate(np.swapaxes(x, -1, -2), order="C")
+    skew = _dagger(x)
     skew += x
     frob = _frobenius(skew)
     tr = np.abs(np.einsum("...ii->...", x))
@@ -118,8 +131,12 @@ def assert_algebra(x, tol=ALGEBRA_TOL):
 
 
 def killing_form_samples(x, y):
-    """Samplewise -tr(XY).real over stacked (..., n, n) arrays."""
-    return -np.einsum("...ab,...ba->...", x, y).real
+    """Samplewise -tr(XY).real over stacked (..., n, n) arrays.
+
+    The contraction runs in index order (order="C"), not memory order, so
+    each sample sums its n^2 products the same way at any layout and
+    stack size: the same bits for entry-major and C-order operands."""
+    return -np.einsum("...ab,...ba->...", x, y, order="C").real
 
 
 def project_algebra(m):
@@ -130,9 +147,11 @@ def project_algebra(m):
     """
     m = np.asarray(m, dtype=np.complex128)
     n = m.shape[-1]
-    skew = (m - _dagger(m)) / 2.0
-    tr = np.trace(skew, axis1=-2, axis2=-1) / n
-    return skew - tr[..., None, None] * np.eye(n)
+    skew = m - _dagger(m)
+    skew *= 0.5
+    diagonal = (..., range(n), range(n))
+    skew[diagonal] -= (np.trace(skew, axis1=-2, axis2=-1) / n)[..., None]
+    return skew
 
 
 def exp_stack(x):
@@ -149,9 +168,10 @@ def exp_stack(x):
         return np.exp(x)
     if n == 2:
         r = np.sqrt(np.maximum(_det(x).real, 0.0))
-        eye = np.eye(2)
-        return (np.cos(r)[..., None, None] * eye
-                + np.sinc(r / np.pi)[..., None, None] * x)
+        out = np.multiply(np.sinc(r / np.pi)[..., None, None], x,
+                          out=_entry_major(x.shape))
+        out[..., (0, 1), (0, 1)] += np.cos(r)[..., None]
+        return out
     if n == 3:
         return _exp_su3(x)
     w, q = np.linalg.eigh(1j * x)
@@ -197,8 +217,9 @@ def _exp_su3(x):
     f1 = np.where(small, 1j, np.where(neg, -np.conjugate(f1), f1))
     f2 = np.where(small, -0.5, np.where(neg, np.conjugate(f2), f2))
     # f1 Q = -i f1 X and f2 Q^2 = -f2 X^2
-    out = ((-f2)[..., None, None] * _matmul(x, x)
-           + (-1j * f1)[..., None, None] * x)
+    out = _matmul(x, x)
+    np.multiply((-f2)[..., None, None], out, out=out)
+    out += (-1j * f1)[..., None, None] * x
     out[..., (0, 1, 2), (0, 1, 2)] += f0[..., None]
     return out
 
@@ -207,11 +228,3 @@ def _gaussian_algebra(normals, scale):
     """su(n) elements from (..., 2, n, n) standard normals, times scale."""
     return (project_algebra(normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
             * scale[..., None, None])
-
-
-def random_algebra(rng, n, scale=1.0):
-    """Seeded random su(n) element: projected complex Gaussian.  An array
-    of scales gives one element per entry, drawn in order."""
-    scale = np.asarray(scale, dtype=np.float64)
-    return _gaussian_algebra(rng.standard_normal(scale.shape + (2, n, n)),
-                             scale)

@@ -199,22 +199,22 @@ def _stack_residuals(dim, samples, modes, seed, alpha_sign, s):
     }
     dr = delta_form_R((g1, g2), (x1, x2), (y1, y2))
     da = alpha_sign * d_alpha_numeric((g1, g2), (x1, x2), (y1, y2))
+    r_xy, alpha_x = eval_R(x1, y1), eval_alpha(g2, x1)
     residuals.update({
         "delta_R_vs_d_alpha": abs(dr - da) / (1.0 + abs(dr)),
         "delta_alpha": abs(delta_form_alpha((g1, g2, g3), (x1, x2, x3))),
-        "antisymmetry": abs(eval_R(x1, y1) + eval_R(y1, x1)),
+        "antisymmetry": abs(r_xy + eval_R(y1, x1)),
         "bilinearity": np.maximum.reduce([
             abs(eval_R(a * x1 + b * x2, y1)
-                - a * eval_R(x1, y1) - b * eval_R(x2, y1)),
+                - a * r_xy - b * eval_R(x2, y1)),
             abs(eval_R(x1, a * y1 + b * x3)
-                - a * eval_R(x1, y1) - b * eval_R(x1, x3)),
+                - a * r_xy - b * eval_R(x1, x3)),
             abs(eval_alpha(g2, a * x1 + b * x2)
-                - a * eval_alpha(g2, x1) - b * eval_alpha(g2, x2)),
+                - a * alpha_x - b * eval_alpha(g2, x2)),
         ]),
         "closedness": abs(d_R_numeric(x1, x2, x3)),
-        "resolution_doubling": np.maximum(
-            abs(eval_R(x1, y1) - fine_R),
-            abs(eval_alpha(g2, x1) - fine_alpha)),
+        "resolution_doubling": np.maximum(abs(r_xy - fine_R),
+                                          abs(alpha_x - fine_alpha)),
     })
     return residuals
 

@@ -1,4 +1,6 @@
-"""Second-order chart finite differences of d(alpha) and d(R).
+"""Second-order chart finite differences of d(alpha) and d(R), seeded
+random su(n) elements, and the layout and bit-identity tests for the
+tests.
 
 The independent reference for the closed forms in centrex.forms: every
 exterior derivative here is taken numerically on coordinate charts
@@ -10,7 +12,29 @@ import numpy as np
 
 from centrex.forms import eval_R, eval_alpha
 from centrex.loops import DiscreteLoop, LoopTangent
-from centrex.su import _dagger, exp_stack, project_algebra
+from centrex.su import _dagger, _gaussian_algebra, exp_stack, project_algebra
+
+
+def is_entry_major(a):
+    """Every entry [..., i, j] is one C-contiguous plane."""
+    n = a.shape[-1]
+    return all(a[..., i, j].flags.c_contiguous
+               for i in range(n) for j in range(n))
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8))
+
+
+def random_algebra(rng, n, scale=1.0):
+    """Seeded random su(n) element: projected complex Gaussian.  An array
+    of scales gives one element per entry, drawn in order."""
+    scale = np.asarray(scale, dtype=np.float64)
+    return _gaussian_algebra(rng.standard_normal(scale.shape + (2, n, n)),
+                             scale)
 
 
 def chart_tangents(field, directions, h):

@@ -523,17 +523,20 @@ def test_verify_negate_alpha_fails(tmp_path):
     assert failed == ["delta_R_vs_d_alpha"]
 
 
-@pytest.mark.parametrize("dim", ["2", "3"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
 def test_verify_report_independent_of_chunk(tmp_path, monkeypatch, dim):
     # a trial's residuals never depend on the trials stacked beside it;
-    # at N = 128, 11 trials make one partial stack at dim 2 and one full
-    # and one partial stack at dim 3, against one trial per stack
-    flags = ["verify", "--dim", dim, "--trials", "11", "--seed", "2"]
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(flags + ["--out", str(a)]) == 0
-    monkeypatch.setattr(verify, "_STACK_ENTRIES", 1)
-    assert main(flags + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # at N = 128, 11 trials make one partial stack at dim 2, one full and
+    # one partial stack at dim 3, and three stacks at dim 4 (one trial per
+    # stack at dim 8), against one trial per stack and all 11 in one stack
+    flags = ["verify", "--dim", str(dim), "--trials", "11", "--seed", "2"]
+    reports = []
+    for entries in (verify._STACK_ENTRIES, 1, 11 * 128 * dim**2):
+        monkeypatch.setattr(verify, "_STACK_ENTRIES", entries)
+        out = tmp_path / ("%d.json" % entries)
+        assert main(flags + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 @pytest.mark.parametrize("flags", [["--dim", "0"], ["--dim", "1"],

@@ -10,7 +10,11 @@ from centrex.loops import (DiscreteLoop, LoopTangent, circle_integral,
                            constant_loop, random_smooth_loop,
                            random_smooth_tangent, right_log_derivative,
                            spectral_derivative, theta_grid)
-from centrex.su import assert_algebra, assert_special_unitary, exp_stack
+from centrex.rng import stream_draws
+from centrex.su import (_entry_major, _gaussian_algebra, assert_algebra,
+                        assert_special_unitary, exp_stack)
+
+from chart_fd import is_entry_major, same_bits
 
 H = np.array([[1j, 0], [0, -1j]])
 N = 64
@@ -129,6 +133,99 @@ def test_cached_derivatives_are_exact_and_read_only():
     for cached in (x.derivative, g.log_derivative):
         with pytest.raises(ValueError):
             cached[0, 0, 0, 0] = 0.0
+
+
+def test_loop_side_arrays_are_entry_major(monkeypatch):
+    # every array a loop or tangent stores (public constructor, _trusted,
+    # lazy products, cached derivatives) is entry-major and read-only, and
+    # so is every _matmul and exp_stack output at n <= 3
+    stored, products = [], []
+    frozen = loops._frozen
+
+    def recording_frozen(values):
+        stored.append(frozen(values))
+        return stored[-1]
+    monkeypatch.setattr(loops, "_frozen", recording_frozen)
+    for name in ("_matmul", "exp_stack"):
+        original = getattr(su, name)
+
+        def recording(*args, _original=original):
+            out = _original(*args)
+            if out.shape[-1] <= 3:
+                products.append(out)
+            return out
+        for module in (su, loops, forms, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording)
+    for dim in (2, 3, 4):
+        checks = verify.run_gamma_battery(dim=dim, samples=64, modes=2,
+                                          trials=3)
+        assert all(c.passed for c in checks)
+        g = random_smooth_loop(5, dim, N, 2, stream=[1, 2])
+        x = random_smooth_tangent(5, dim, N, 2, stream=[3, 4])
+        interleaved = np.ascontiguousarray(x.samples)
+        for member in (g, x, g.inverse(), g.multiply(g), constant_loop(dim, N),
+                       DiscreteLoop(np.ascontiguousarray(g.samples)),
+                       LoopTangent(interleaved), 2.0 * x, x + x, -x):
+            stored.append(member.samples)
+        stored += [x.derivative, g.log_derivative]
+    periods.equator_rows(periods.SphereFamily(grid_u=4, grid_phi=8,
+                                              num_samples=N))
+    assert len(stored) > 50 and len(products) > 50
+    for values in stored:
+        assert is_entry_major(values) and not values.flags.writeable
+    assert all(is_entry_major(out) for out in products)
+
+
+def test_trusted_keeps_entry_major_arrays_and_copies_others():
+    x = random_smooth_tangent(6, 3, N, 2, stream=[1, 2]).samples
+    fresh = _entry_major(x.shape)
+    fresh[...] = x
+    assert LoopTangent._trusted(fresh).samples is fresh
+    interleaved = np.ascontiguousarray(x)
+    kept = LoopTangent._trusted(interleaved).samples
+    assert not np.shares_memory(kept, interleaved)
+    assert np.array_equal(kept, x) and is_entry_major(kept)
+
+
+def _mode_by_mode_field(seed, dim, num_samples, modes, stream, constant,
+                        decay):
+    # the synthesis as a sum over modes in order, theta innermost
+    streams = np.asarray(stream)
+    leading = [constant] if constant else []
+    scales = np.array(leading + [decay(k) for k in range(1, modes + 1)
+                                 for _ in (0, 1)])
+    normals = stream_draws(seed, streams.reshape(-1), "standard_normal",
+                           scales.shape + (2, dim, dim))
+    coeffs = _gaussian_algebra(normals, scales)[..., None]
+    theta = theta_grid(num_samples)
+    field = np.zeros((streams.size, dim, dim, num_samples),
+                     dtype=np.complex128)
+    if leading:
+        field += coeffs[:, 0]
+    for k in range(1, modes + 1):
+        j = len(leading) + 2 * k - 2
+        field += np.cos(k * theta) * coeffs[:, j]
+        field += np.sin(k * theta) * coeffs[:, j + 1]
+    return np.moveaxis(field, -1, 1).reshape(
+        streams.shape + (num_samples, dim, dim))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_synthesis_is_the_mode_by_mode_sum(dim):
+    # one contraction, bit for bit the mode-by-mode sum (signed zeros
+    # included), entry-major; modes = 0 gives the zero loop field
+    for num, modes in ((16, 0), (64, 2), (128, 3), (128, 16)):
+        for stream in (0, [3, 5], [[1, 2, 7], [4, 5, 6]]):
+            for constant, decay in ((0.0, lambda k: 0.4 / k**2),
+                                    (0.5, lambda k: 0.5 / (1 + k**2))):
+                args = (11, dim, num, modes, stream, constant, decay)
+                got = loops._smooth_field(*args)
+                want = _mode_by_mode_field(*args)
+                assert is_entry_major(got)
+                assert same_bits(got, want)
+                if modes == 0 and not constant:
+                    assert not got.any()
 
 
 def test_battery_differentiates_each_field_once(monkeypatch):

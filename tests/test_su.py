@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from centrex import forms, loops, su, verify
 from centrex.rng import generator
+
+from chart_fd import is_entry_major, random_algebra, same_bits
 from centrex.su import (_MATMUL_UNROLL_MAX, _dagger, _det, _matmul,
                         algebra_residual, assert_algebra,
                         assert_special_unitary, exp_stack,
                         killing_form_samples, project_algebra,
-                        random_algebra, unitary_residual)
+                        unitary_residual)
 
 H = np.array([[1j, 0], [0, -1j]])
 
@@ -60,7 +62,7 @@ def test_coroot_normalization_all_dimensions():
         assert np.abs(killing_form_samples(stack, stack) - 2.0).max() <= 1e-15
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_killing_form_stack_matches_per_matrix_trace(n):
     rng = generator(4)
     x = random_algebra(rng, n, np.ones((3, 16)))
@@ -70,6 +72,11 @@ def test_killing_form_stack_matches_per_matrix_trace(n):
     want = np.array([[-np.trace(x[b, j] @ y[b, j]).real for j in range(16)]
                      for b in range(3)])
     assert np.abs(got - want).max() <= 1e-14
+    # the same bits for entry-major operands, and for one sample at a time
+    for a, b in ((loops._entry_major_copy(x), loops._entry_major_copy(y)),
+                 (x, loops._entry_major_copy(y))):
+        assert np.array_equal(killing_form_samples(a, b), got)
+    assert np.array_equal(killing_form_samples(x[1, 5], y[1, 5]), got[1, 5])
 
 
 def test_killing_form_real_bilinear():
@@ -183,17 +190,35 @@ def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _column_matmul(a, b):
+    # the unrolled arithmetic of the interleaved (C-order) kernel, one
+    # output column at a time: out[..., :, k] = sum_j a[..., :, j] b[..., j, k]
+    n = a.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    for k in range(n):
+        column = out[..., :, k]
+        np.multiply(a[..., :, 0], b[..., 0, k, None], out=column)
+        for j in range(1, n):
+            column += a[..., :, j] * b[..., j, k, None]
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_matmul_matches_numpy(n):
-    # unstacked (N, n, n), stacked (B, N, n, n), the broadcast
-    # (2, B, N, n, n) x (B, N, n, n) of left_invariance_fd_residual, and
-    # strided _dagger views on either side
+    # unstacked (N, n, n), stacked (B, N, n, n) and the broadcast
+    # (2, B, N, n, n) x (B, N, n, n) of left_invariance_fd_residual, with
+    # interleaved (C-order), entry-major and mixed operands, and strided
+    # _dagger views of each on either side
     rng = generator(23)
     shapes = [((16, n, n), (16, n, n)), ((3, 16, n, n), (3, 16, n, n)),
               ((2, 3, 16, n, n), (3, 16, n, n))]
-    pairs = [(_complex(rng, sa), _complex(rng, sb)) for sa, sb in shapes]
-    a, b = pairs[1]
-    pairs += [(_dagger(a), b), (a, _dagger(b)), (_dagger(a), _dagger(b))]
+    pairs = []
+    for sa, sb in shapes:
+        a, b = _complex(rng, sa), _complex(rng, sb)
+        for x in (a, loops._entry_major_copy(a)):
+            for y in (b, loops._entry_major_copy(b)):
+                pairs += [(x, y), (_dagger(x), y), (x, _dagger(y)),
+                          (_dagger(x), _dagger(y))]
     eps = np.finfo(np.float64).eps
     for a, b in pairs:
         got, want = _matmul(a, b), np.matmul(a, b)
@@ -201,9 +226,49 @@ def test_matmul_matches_numpy(n):
         if n > _MATMUL_UNROLL_MAX:
             assert np.array_equal(got, want)
         else:
+            # the same multiply/add order per entry as the column kernel,
+            # written entry-major
+            assert same_bits(got, _column_matmul(a, b))
+            assert is_entry_major(got)
             # entrywise within a few ulp of |a| |b|
             bound = (n + 2) * eps * (np.abs(a) @ np.abs(b))
             assert (np.abs(got - want) <= bound).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exp_stack_is_entry_major(n):
+    rng = generator(29)
+    x = random_algebra(rng, n, np.ones((3, 16)))
+    for layout in (x, loops._entry_major_copy(x)):
+        g = exp_stack(layout)
+        assert is_entry_major(g)
+        assert same_bits(g, exp_stack(x))
+    if n == 2:
+        # the closed form cos(r) I + sinc(r) X, bit for bit
+        r = np.sqrt(np.maximum(_det(x).real, 0.0))
+        assert same_bits(exp_stack(x),
+                         np.cos(r)[..., None, None] * np.eye(2)
+                         + np.sinc(r / np.pi)[..., None, None] * x)
+
+
+def _projection_formula(m):
+    # the projection as (M - M*)/2 minus its trace times the identity
+    n = m.shape[-1]
+    skew = (m - _dagger(m)) / 2.0
+    tr = np.trace(skew, axis1=-2, axis2=-1) / n
+    return skew - tr[..., None, None] * np.eye(n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_project_algebra_matches_the_formula(n):
+    # the in-place projection is bit for bit the formula, for single and
+    # stacked matrices in either layout
+    rng = generator(31, n)
+    for shape in ((n, n), (5, 16, n, n)):
+        m = _complex(rng, shape)
+        for layout in (m, loops._entry_major_copy(m)):
+            assert same_bits(project_algebra(layout),
+                             _projection_formula(layout))
 
 
 def test_loop_side_products_go_through_the_kernel():
