@@ -44,12 +44,6 @@ def _as_result(values):
     return float(values) if values.ndim == 0 else values
 
 
-def _check_synthesis(num_samples, modes):
-    _check_grid(num_samples)
-    if not 0 <= modes <= num_samples // 8:
-        raise ValueError("modes must be in 0..N/8 for spectral headroom")
-
-
 def theta_grid(num_samples):
     return 2.0 * np.pi * np.arange(num_samples) / num_samples
 
@@ -95,6 +89,13 @@ class _Sampled:
             _checked_shape(self.samples, type(self).__name__)))
         self._check_members(samples)
         object.__setattr__(self, "samples", samples)
+
+    @classmethod
+    def _fresh(cls, samples):
+        """_trusted, then the membership check: for fresh arrays."""
+        obj = cls._trusted(samples)
+        obj._check_members(obj.samples)
+        return obj
 
     @classmethod
     def _trusted(cls, samples):
@@ -263,10 +264,12 @@ def _smooth_field(seed, dim, num_samples, modes, stream, constant, decay):
     leading axis; each entry's coefficients are drawn from its own stream.
     The field is one contraction of the (K, N) basis of constant, cos and
     sin rows with the coefficients' real and imaginary parts, summed in
-    mode order (as the mode-by-mode sum, bit for bit), written
-    entry-major.
+    mode order (as the mode-by-mode sum, bit for bit), from contiguous
+    (a, b, s, k) coefficients into the (a, b, s, n) planes of the field.
     """
-    _check_synthesis(num_samples, modes)
+    _check_grid(num_samples)
+    if not 0 <= modes <= num_samples // 8:
+        raise ValueError("modes must be in 0..N/8 for spectral headroom")
     streams = np.asarray(stream)
     leading = [constant] if constant else []
     scales = np.array(leading + [decay(k) for k in range(1, modes + 1)
@@ -282,9 +285,10 @@ def _smooth_field(seed, dim, num_samples, modes, stream, constant, decay):
         basis[j] = np.cos(k * theta)
         basis[j + 1] = np.sin(k * theta)
     field = _entry_major((streams.size, num_samples, dim, dim))
+    planes = field.transpose(2, 3, 0, 1)
     for part in ("real", "imag"):
-        np.einsum("kn,skab->snab", basis, getattr(coeffs, part),
-                  out=getattr(field, part))
+        c = np.ascontiguousarray(getattr(coeffs, part).transpose(2, 3, 0, 1))
+        getattr(planes, part)[...] = np.einsum("kn,absk->absn", basis, c)
     return field.reshape(streams.shape + (num_samples, dim, dim))
 
 
@@ -297,7 +301,7 @@ def random_smooth_loop(seed, dim, num_samples, modes, stream=0):
     """
     field = _smooth_field(seed, dim, num_samples, modes, stream, 0.0,
                           lambda k: LOOP_AMPLITUDE / k**2)
-    return DiscreteLoop(exp_stack(field))
+    return DiscreteLoop._fresh(exp_stack(field))
 
 
 def random_smooth_tangent(seed, dim, num_samples, modes, stream=0):
@@ -307,4 +311,4 @@ def random_smooth_tangent(seed, dim, num_samples, modes, stream=0):
     field = _smooth_field(seed, dim, num_samples, modes, stream,
                           TANGENT_AMPLITUDE,
                           lambda k: TANGENT_AMPLITUDE / (1 + k**2))
-    return LoopTangent(field)
+    return LoopTangent._fresh(field)

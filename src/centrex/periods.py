@@ -26,9 +26,12 @@ coefficient blocks C_a.  The discrete R is bilinear, so at every node
 
 with A, B the blocks of X_u, X_phi and G the 2 x 2 Gram matrix of the
 profiles under the discrete R (spectral derivative, trapezoid rule,
-1/(4 pi^2)), computed once per family.  The quadrature pairs coefficient
-blocks only; one row per grid is also summed by full eval_R on sampled
-tangents as a cross-check (equator_rows, reported as period_gram_row).
+1/(4 pi^2)), computed once per family.  Each block is i v . sigma for a
+real 3-vector v, and <i v . sigma, i w . sigma> = 2 v . w, so the
+quadrature pairs 3-vectors only (_vector_pairs, with the bits of the
+Killing form of the blocks); one row per grid is also summed by full
+eval_R on sampled tangents as a cross-check (equator_rows, reported as
+period_gram_row).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 from .forms import FOUR_PI_SQUARED, eval_R
 from .loops import (DiscreteLoop, LoopTangent, _check_grid, circle_integral,
                     constant_loop, spectral_derivative, theta_grid)
-from .su import _entry_major, killing_form_samples
+from .su import _entry_major
 
 PAULI = np.array([
     [[0, 1], [1, 0]],
@@ -50,11 +53,6 @@ PAULI = np.array([
 
 # the su(2) basis i sigma_k, each flattened to a row of 4 entries
 _I_SIGMA = 1j * PAULI.reshape(3, 4)
-
-
-def _dot_sigma(vec):
-    """(v . sigma) for a (..., 3) array of real 3-vectors."""
-    return np.tensordot(np.asarray(vec, dtype=np.float64), PAULI, axes=([-1], [0]))
 
 
 def _vectors(x, y, z):
@@ -129,28 +127,31 @@ class SphereFamily:
         if self.degenerate:
             return constant_loop(2, n_samp)
         theta = theta_grid(n_samp)
-        nu_sigma = _dot_sigma(_nu(u, phi))
+        nu_sigma = np.tensordot(_nu(u, phi), PAULI, axes=1)
         samples = (np.cos(theta)[:, None, None] * np.eye(2)
                    + 1j * np.sin(theta)[:, None, None] * nu_sigma)
         return DiscreteLoop._trusted(samples)
 
-    def coefficient_blocks(self, u, phi):
-        """su(2) coefficient blocks of the (d_u, d_phi) tangents: two
-        (..., 2, 2, 2) arrays whose entry [..., a, :, :] multiplies the
-        theta profile p_a (see _profiles).  Arrays u, phi give blocks stacked
-        along their broadcast shape; the degenerate family's are zero."""
+    def coefficient_vectors(self, u, phi):
+        """Real 3-vectors v of the (d_u, d_phi) tangents' coefficient
+        blocks i v . sigma: two (..., 2, 3) arrays, [..., a, :] for the
+        theta profile p_a (see _profiles), stacked along the broadcast
+        shape of u, phi; zero for the degenerate family."""
         phi = np.asarray(phi, dtype=np.float64)
         shape = np.broadcast_shapes(np.shape(u), phi.shape)
         if self.degenerate:
-            zero = np.zeros(shape + (2, 2, 2), dtype=np.complex128)
+            zero = np.zeros(shape + (2, 3))
             return zero, zero
         nu = _nu(u, phi)
-        out = []
-        for dnu, scale in ((_nu_du(u, phi), 1.0),
-                           (_nu_dphi(u, phi), float(self.orientation))):
-            vectors = scale * np.stack([dnu, np.cross(nu, dnu)], axis=-2)
-            out.append((vectors @ _I_SIGMA).reshape(shape + (2, 2, 2)))
-        return out[0], out[1]
+        slopes = ((_nu_du(u, phi), 1.0),
+                  (_nu_dphi(u, phi), float(self.orientation)))
+        return tuple(scale * np.stack([dnu, np.cross(nu, dnu)], axis=-2)
+                     for dnu, scale in slopes)
+
+    def coefficient_blocks(self, u, phi):
+        """The blocks i v . sigma of coefficient_vectors, (..., 2, 2, 2)."""
+        return tuple((v @ _I_SIGMA).reshape(v.shape[:-1] + (2, 2))
+                     for v in self.coefficient_vectors(u, phi))
 
     def tangents_at(self, u, phi):
         """Left-trivialized (d_u, d_phi) tangent fields, analytic, written
@@ -178,12 +179,21 @@ def _simpson_weights(intervals):
 _STACK_NODES = 1024      # most (u, phi) nodes that _row_sums pairs at once
 
 
+def _vector_pairs(v, w):
+    """<A_a, B_b>[..., a, b] from the (..., 2, 3) vectors of A and B:
+    2 v . w, summed as -tr(XY) sums the entries of the blocks (v3 w3, then
+    v1 w1 + v2 w2 twice, then v3 w3), for the bits of killing_form_samples."""
+    v, w = v[..., :, None, :], w[..., None, :, :]
+    off = v[..., 0] * w[..., 0] + v[..., 1] * w[..., 1]
+    diag = v[..., 2] * w[..., 2]
+    return diag + off + off + diag
+
+
 def _row_sums(family, rows, gram):
     """Sum over phi of sum_ab G_ab <A_a, B_b> on each u-row in rows."""
     u, phi = family.node(np.asarray(rows)[:, None],
                          np.arange(family.grid_phi))
-    a, b = family.coefficient_blocks(u, phi)
-    pairs = killing_form_samples(a[..., :, None, :, :], b[..., None, :, :, :])
+    pairs = _vector_pairs(*family.coefficient_vectors(u, phi))
     return (pairs * gram).sum(axis=(-2, -1)).sum(axis=-1)
 
 
@@ -196,7 +206,7 @@ def sphere_period(family):
 
     Each node value is sum_ab G_ab <A_a, B_b> (module docstring), with
     G from profile_gram once per family, so the cost is grid_u * grid_phi
-    block pairings and no tangent is sampled.  The grid is paired in
+    vector pairings and no tangent is sampled.  The grid is paired in
     stacks of u-rows of at most _STACK_NODES nodes, then the row sums are
     accumulated one at a time.  equator_rows checks one row by eval_R.
     """

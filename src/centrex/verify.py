@@ -53,13 +53,13 @@ MIN_SAMPLES_WITH_MODES = 64
 # The battery costs about trials * samples * dim^2 * (modes + 256) units.
 # The offset stands for the fixed work per sample (synthesis of eight
 # fields in four calls, five at N and three at 2N; one exponential per
-# tangent and step of the pushforward stencil and one for the
-# left-invariance chart); it over-counts that work at small modes, so the
-# guard is conservative: its corners take 1.4 to 5.8 s (README).  The
-# period costs grid_u * grid_phi coefficient-block pairings per grid
-# (the doubled grid has four times as many),
-# independent of samples, plus one full eval_R row per grid, whose
-# doubled-grid row holds 2 * grid_phi * samples matrices.  With
+# tangent of the pushforward stencil and one for the left-invariance
+# chart); it over-counts that work at small modes, so the guard is
+# conservative: its corners take 1.1 to 5.3 s (README).  The period
+# costs grid_u * grid_phi coefficient-vector pairings per grid (the
+# doubled grid has four times as many), independent of samples, plus one
+# full eval_R row per grid, whose doubled-grid row holds
+# 2 * grid_phi * samples matrices.  With
 # samples >= 16 the work guard caps the pairings at 2^19 (2^21 doubled)
 # and the row guard caps that row; both now admit far less than a 45 s
 # budget (README).
@@ -223,19 +223,21 @@ def pushforward_fd_residual(g1, g2, x1, x2):
     """Merge-face tangent formula vs direct differentiation of the
     product curve P(t) = g1 exp(tX1) g2 exp(tX2) by the fourth-order
     stencil (8(P(h) - P(-h)) - (P(2h) - P(-2h))) / 12h with
-    h = PUSHFORWARD_STEP; the worst sample of each stack entry.  P(-t)
-    takes exp(-tX) = exp(tX)^*: one exponential per tangent and step."""
+    h = PUSHFORWARD_STEP; the worst sample of each stack entry.  One
+    exponential per tangent: E = exp(hX), exp(2hX) = E^2 and
+    exp(-tX) = exp(tX)^*; and P(t) - P(-t) = g1 (E1 g2 E2 - E1^* g2 E2^*),
+    so g1 is multiplied in once, after the stencil."""
     h = PUSHFORWARD_STEP
     (base,), (tan,) = face_pushforward(1, (g1, g2), (x1, x2))
 
-    def difference(t):
-        # P(t) - P(-t), each product associated as (g1 E1)(g2 E2)
-        e1, e2 = (exp_stack(t * x.samples) for x in (x1, x2))
-        return (_matmul(_matmul(g1.samples, e1), _matmul(g2.samples, e2))
-                - _matmul(_matmul(g1.samples, _dagger(e1)),
-                          _matmul(g2.samples, _dagger(e2))))
+    def bracket(e1, e2):
+        return (_matmul(e1, _matmul(g2.samples, e2))
+                - _matmul(_dagger(e1), _matmul(g2.samples, _dagger(e2))))
 
-    slope = (8.0 * difference(h) - difference(2.0 * h)) / (12.0 * h)
+    e1, e2 = (exp_stack(h * x.samples) for x in (x1, x2))
+    stencil = 8.0 * bracket(e1, e2) - bracket(_matmul(e1, e1),
+                                              _matmul(e2, e2))
+    slope = _matmul(g1.samples, stencil) / (12.0 * h)
     fd = project_algebra(_matmul(_dagger(base.samples), slope))
     return _as_result(np.abs(fd - tan.samples).max(axis=(-3, -2, -1)))
 

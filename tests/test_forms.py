@@ -7,8 +7,9 @@ from centrex.forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
                            face_pushforward, left_invariance_check,
                            left_invariance_fd_residual)
 from centrex.loops import (DiscreteLoop, LoopTangent, _as_result,
-                           constant_loop, random_smooth_loop,
-                           random_smooth_tangent, theta_grid)
+                           conjugate_tangent, constant_loop,
+                           random_smooth_loop, random_smooth_tangent,
+                           theta_grid)
 from centrex.su import _matmul, exp_stack, project_algebra
 from centrex.verify import (TOLERANCES, _streams, pushforward_fd_residual,
                             run_gamma_battery)
@@ -324,6 +325,24 @@ def _merge_without_ad(i, loops, tangents):
     if len(loops) == 2 and i == 1:
         return (loops[0].multiply(loops[1]),), (tangents[0] + tangents[1],)
     return face_pushforward(i, loops, tangents)
+
+
+def _merge_with_ad_g2(i, loops, tangents):
+    # the merge with X1 pushed forward as Ad(g2) X1 instead of Ad(g2^-1) X1
+    (merged,), _ = face_pushforward(i, loops, tangents)
+    return (merged,), (conjugate_tangent(loops[1], tangents[0])
+                       + tangents[1],)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pushforward_row_fails_with_ad_g2(monkeypatch, dim):
+    # the stencil differentiates P(t) on its own, so a merge tangent with
+    # the wrong adjoint fails its row, and no other
+    monkeypatch.setattr(verify, "face_pushforward", _merge_with_ad_g2)
+    checks = run_gamma_battery(dim=dim, samples=64, trials=4, seed=3)
+    assert [c.name for c in checks if not c.passed] == ["pushforward_merge"]
+    (row,) = [c for c in checks if c.name == "pushforward_merge"]
+    assert row.residual > 1e3 * row.tolerance
 
 
 def _d_R_one_sign_flipped(x, y, z):

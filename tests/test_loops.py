@@ -146,6 +146,10 @@ def test_loop_side_arrays_are_entry_major(monkeypatch):
         stored.append(frozen(values))
         return stored[-1]
     monkeypatch.setattr(loops, "_frozen", recording_frozen)
+    copied = []
+    copy = loops._entry_major_copy
+    monkeypatch.setattr(loops, "_entry_major_copy",
+                        lambda values: copied.append(values) or copy(values))
     for name in ("_matmul", "exp_stack"):
         original = getattr(su, name)
 
@@ -161,8 +165,18 @@ def test_loop_side_arrays_are_entry_major(monkeypatch):
         checks = verify.run_gamma_battery(dim=dim, samples=64, modes=2,
                                           trials=3)
         assert all(c.passed for c in checks)
+        del copied[:]
         g = random_smooth_loop(5, dim, N, 2, stream=[1, 2])
         x = random_smooth_tangent(5, dim, N, 2, stream=[3, 4])
+        # synthesized samples are stored uncopied (only the eigh
+        # exponential above n = 3 is not entry-major), each call's own array
+        assert len(copied) == (dim > 3)
+        for make, member, streams in ((random_smooth_loop, g, [1, 2]),
+                                      (random_smooth_tangent, x, [3, 4])):
+            twin = make(5, dim, N, 2, stream=streams)
+            assert np.array_equal(twin.samples, member.samples)
+            assert not np.shares_memory(twin.samples, member.samples)
+        assert not np.shares_memory(g.samples, x.samples)
         interleaved = np.ascontiguousarray(x.samples)
         for member in (g, x, g.inverse(), g.multiply(g), constant_loop(dim, N),
                        DiscreteLoop(np.ascontiguousarray(g.samples)),
@@ -244,9 +258,10 @@ def test_battery_differentiates_each_field_once(monkeypatch):
 
 def test_battery_forms_each_product_once(monkeypatch):
     # one stack of 8 trials at dim 3, N = 128: every _matmul operand holds
-    # 1024 matrices at N; the parent of this count formed g1 g2 four times,
+    # 1024 matrices at N; an earlier battery formed g1 g2 four times,
     # Ad(g2^-1) X1 three times and k g1 twice, and took both exponentials
-    # of each stencil step (12 exp_stack calls, 77 units)
+    # of each stencil step (12 exp_stack calls, 77 units); the stencil
+    # then took one exponential per tangent and step (7 calls, 64 units)
     work = {"exp_stack": 0, "units": 0.0}
     matmul, exp = su._matmul, su.exp_stack
 
@@ -266,8 +281,8 @@ def test_battery_forms_each_product_once(monkeypatch):
             monkeypatch.setattr(module, "exp_stack", counted_exp)
     checks = verify.run_gamma_battery(dim=3, samples=128, modes=3, trials=8)
     assert all(c.passed for c in checks)
-    assert work["exp_stack"] <= 7
-    assert work["units"] <= 66
+    assert work["exp_stack"] <= 5
+    assert work["units"] <= 61
 
 
 def test_products_are_kept_once_per_operand():
@@ -346,6 +361,20 @@ def test_construction_copies_the_callers_array():
         with pytest.raises(ValueError):
             cls(a)
         assert a.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_synthesis_still_checks_membership(monkeypatch, dim):
+    # synthesis stores its fresh arrays uncopied, but still checks them
+    exp = loops.exp_stack
+    monkeypatch.setattr(loops, "exp_stack", lambda x: 1.01 * exp(x))
+    with pytest.raises(ValueError, match="SU"):
+        random_smooth_loop(3, dim, N, 2, stream=[1, 2])
+    algebra = loops._gaussian_algebra
+    monkeypatch.setattr(loops, "_gaussian_algebra",
+                        lambda *args: 1j + algebra(*args))
+    with pytest.raises(ValueError, match="su"):
+        random_smooth_tangent(3, dim, N, 2, stream=[1, 2])
 
 
 def test_stacked_loops_and_tangents():

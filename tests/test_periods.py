@@ -5,6 +5,7 @@ from centrex import forms, periods, verify
 from centrex.forms import eval_R
 from centrex.loops import LoopTangent, theta_grid
 from centrex.periods import SphereFamily, sphere_period
+from centrex.rng import generator
 from centrex.su import (_dagger, assert_algebra, killing_form_samples,
                         project_algebra)
 from centrex.verify import run_period_checks
@@ -94,6 +95,27 @@ def _per_row_gram_period(family):
         row = (pairs * gram).sum(axis=(-2, -1)).sum()
         total += w_u[i] * row * 2.0 * np.pi / family.grid_phi
     return total
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_coefficient_vectors_pair_like_their_blocks(orientation):
+    # <i v . sigma, i w . sigma> = 2 v . w: the quadrature's pairing of the
+    # vectors has the bits of the Killing form of their blocks, and both
+    # are within 1e-15 of 2 |v| |w| of 2 v . w, at seeded nodes
+    fam = SphereFamily(8, 8, 16, orientation=orientation)
+    rng = generator(47, orientation % 3)
+    u, phi = rng.uniform(0.0, np.pi, 400), rng.uniform(0.0, 2 * np.pi, 400)
+    blocks = fam.coefficient_blocks(u, phi)
+    vectors = fam.coefficient_vectors(u, phi)
+    for (a, b), (v, w) in zip([blocks, blocks[::-1], blocks[:1] * 2],
+                              [vectors, vectors[::-1], vectors[:1] * 2]):
+        killing = killing_form_samples(a[:, :, None], b[:, None, :])
+        assert np.array_equal(periods._vector_pairs(v, w), killing)
+        dots = 2.0 * np.einsum("jai,jbi->jab", v, w)
+        scale = 2.0 * np.linalg.norm(v, axis=-1)[:, :, None] \
+            * np.linalg.norm(w, axis=-1)[:, None, :]
+        assert (scale > 0.0).all()
+        assert (np.abs(killing - dots) <= 1e-15 * scale).all()
 
 
 @pytest.mark.parametrize("orientation", [1, -1])

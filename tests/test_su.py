@@ -335,3 +335,15 @@ def test_exp_of_negated_input_is_the_dagger(n):
         assert (np.abs(a - b) <= 4 * eps * magnitude).all()
         if n == 2:
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exp_of_doubled_input_is_the_square(n):
+    # the pushforward stencil takes exp(2hX) as exp(hX)^2: equal to within
+    # 16 ulp of the unit entries (10 at worst here), at the stencil's step
+    # and well beyond it
+    eps = np.finfo(np.float64).eps
+    for k, scale in enumerate((1e-4, 2e-4, 0.05, 0.5)):
+        x = random_algebra(generator(43, 10 * n + k), n, np.full(500, scale))
+        e = exp_stack(x)
+        assert np.abs(_matmul(e, e) - exp_stack(2.0 * x)).max() <= 16 * eps
