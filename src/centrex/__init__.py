@@ -19,15 +19,13 @@ __version__ = "0.1.0"
 
 from .groups import (FiniteGroup, GroupFingerprint, catalog, cyclic,
                      dihedral, direct_product, fingerprint, klein_four,
-                     load_group, parse_group_table, format_group_table,
-                     quaternion8, symmetric3)
+                     load_group, parse_group_table, quaternion8, symmetric3)
 from .cochains import (Cochain, delta, face_map, load_cochain, parse_cochain,
-                       format_cochain, random_cochain, violating_triple)
+                       violating_triple)
 from .cohomology import (SecondCohomology, cohomologous,
                          exhaustive_second_cohomology, second_cohomology)
 from .extensions import (ExtensionGroup, build_extension,
-                         extension_fingerprint, is_table_isomorphism,
-                         pair_isomorphism)
+                         extension_fingerprint)
 from .errors import CapacityError, CocycleError
 from .su import project_algebra
 from .loops import (DiscreteLoop, LoopTangent, circle_integral,

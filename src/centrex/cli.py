@@ -36,8 +36,9 @@ from .cohomology import (check_capacity, exhaustive_second_cohomology,
 from .errors import CapacityError, CocycleError
 from .extensions import build_extension, extension_fingerprints
 from .groups import load_group
-from .report import build_report, file_digest, human_summary, write_report
-from .verify import CheckResult, run_gamma_battery, run_period_checks
+from .report import (build_report, file_digest, human_summary, judged,
+                     write_report)
+from .verify import run_gamma_battery, run_period_checks
 
 # entries per stacked step of the Z^2 certificate
 _CERTIFICATE_ENTRIES = 2**20
@@ -135,22 +136,12 @@ def _cmd_h2(args):
     group = load_group(args.group)
     n = args.modulus
     h2 = second_cohomology(group, n)
-    consistent = h2.z2_size == h2.b2_size * h2.size
-    checks = [CheckResult(
-        name="counts_consistent",
-        residual=0.0 if consistent else 1.0,
-        tolerance=0.0,
-        passed=consistent,
-        trials=1,
-    )]
     closed = _full_delta_zero(h2)
-    checks.append(CheckResult(
-        name="z2_full_delta",
-        residual=float(np.count_nonzero(~closed)),
-        tolerance=0.0,
-        passed=bool(closed.all()),
-        trials=len(closed),
-    ))
+    checks = [
+        judged("counts_consistent",
+               h2.z2_size != h2.b2_size * h2.size, 0.0),
+        judged("z2_full_delta", np.count_nonzero(~closed), 0.0, len(closed)),
+    ]
     # z2_full_delta has just certified each rep; a fingerprint is reported
     # only where it did
     fps = extension_fingerprints(
@@ -170,13 +161,7 @@ def _cmd_h2(args):
                  and oracle.b2_size == h2.b2_size
                  and oracle.h2_size == h2.size
                  and rep_keys == oracle.class_keys)
-        checks.append(CheckResult(
-            name="oracle_agreement",
-            residual=0.0 if agree else 1.0,
-            tolerance=0.0,
-            passed=bool(agree),
-            trials=1,
-        ))
+        checks.append(judged("oracle_agreement", not agree, 0.0))
         oracle_payload = {
             "feasible": True,
             "z2_size": oracle.z2_size,
@@ -215,13 +200,11 @@ def _cmd_extend(args):
     try:
         ext = build_extension(cochain)
     except CocycleError as exc:
-        checks = [CheckResult(name="cocycle_condition", residual=1.0,
-                              tolerance=0.0, passed=False, trials=1)]
+        checks = [judged("cocycle_condition", 1, 0.0)]
         payload = {"violating_triple": list(exc.triple)}
         return build_report("extend", params, checks, payload, inputs)
     fp, = extension_fingerprints(group, cochain.modulus, cochain.values)
-    checks = [CheckResult(name="cocycle_condition", residual=0.0,
-                          tolerance=0.0, passed=True, trials=1)]
+    checks = [judged("cocycle_condition", 0, 0.0)]
     payload = {
         "order": ext.order,
         "identity_index": ext.identity,
@@ -290,9 +273,6 @@ def main(argv=None):
     except CapacityError as exc:
         print("capacity error: %s" % exc, file=sys.stderr)
         return 3
-    except CocycleError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

@@ -211,12 +211,6 @@ def violating_triple(cochain):
     return tuple(int(x) for x in bad[0])
 
 
-def random_cochain(group, modulus, degree, rng):
-    vals = rng.integers(0, modulus, size=(group.order,) * degree,
-                        dtype=np.int64)
-    return Cochain(group, modulus, degree, vals)
-
-
 # ---------------------------------------------------------------------------
 # cochain file format: line 1 = "p n", then m^p values in row-major order
 
@@ -240,16 +234,6 @@ def parse_cochain(text, group):
     except (ValueError, OverflowError):
         raise ValueError("cochain values must be 64-bit integers")
     return Cochain(group, n, p, flat)
-
-
-def format_cochain(cochain):
-    lines = ["%d %d" % (cochain.degree, cochain.modulus)]
-    flat = cochain.values.reshape(-1)
-    m = cochain.group.order
-    width = m if cochain.degree >= 1 else 1
-    for start in range(0, flat.size, width):
-        lines.append(" ".join(str(int(v)) for v in flat[start:start + width]))
-    return "\n".join(lines) + "\n"
 
 
 def load_cochain(path, group):

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochains import delta, violating_triple
+from .cochains import violating_triple
 from .errors import CocycleError
 from .groups import GroupFingerprint, _closure, _element_orders
 
@@ -142,24 +142,3 @@ def extension_fingerprint(cocycle):
     return extension_fingerprints(cocycle.group, cocycle.modulus,
                                   cocycle.values)[0]
 
-
-def pair_isomorphism(c_from, c_to, witness):
-    """Index permutation realizing E(c_from) ~ E(c_to).
-
-    Requires c_to = c_from + delta(witness); the map is
-    (a, g) -> (a - witness(g), g).
-    """
-    c_from._compatible(c_to)
-    n, m = c_from.modulus, c_from.group.order
-    if not (delta(witness) - (c_to - c_from)).is_zero:
-        raise ValueError("witness does not connect the two cocycles")
-    idx = np.arange(n * m)
-    a, g = idx // m, idx % m
-    return ((a - witness.values[g]) % n) * m + g
-
-
-def is_table_isomorphism(ext_from, ext_to, perm):
-    """Check phi(x * y) = phi(x) * phi(y) entry for entry."""
-    perm = np.asarray(perm, dtype=np.int64)
-    return np.array_equal(perm[ext_from.table],
-                          ext_to.table[perm[:, None], perm[None, :]])

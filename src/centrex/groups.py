@@ -132,9 +132,6 @@ class FiniteGroup:
     def mul(self, g, h):
         return int(self.table[g, h])
 
-    def inv(self, g):
-        return int(self.inverse[g])
-
     def __repr__(self):
         return "FiniteGroup(%s, order=%d)" % (self.name, self.order)
 
@@ -304,13 +301,6 @@ def parse_group_table(text, name=""):
                 raise ValueError("line %d, column %d: %r is not an element "
                                  "index" % (r, c + 1, tok))
     return FiniteGroup(table, name)
-
-
-def format_group_table(group):
-    lines = [str(group.order)]
-    for row in group.table:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def load_group(path):

@@ -71,10 +71,6 @@ def _checked_shape(samples, what):
     return samples
 
 
-def _ingest(samples, what):
-    return _frozen(_checked_shape(samples, what))
-
-
 @dataclass(frozen=True)
 class _Sampled:
     """Read-only complex128 samples of a loop or tangent field; the public
@@ -99,11 +95,12 @@ class _Sampled:
 
     @classmethod
     def _trusted(cls, samples):
-        """Store samples that are members by construction, unchecked.
-        They must be a fresh array: if entry-major it is stored as it is
-        and frozen, otherwise copied entry-major."""
+        """Store samples that are members by construction, unchecked: a
+        fresh complex128 (..., N, n, n) array on a valid grid.  If
+        entry-major it is stored as it is and frozen, otherwise copied
+        entry-major."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "samples", _ingest(samples, cls.__name__))
+        object.__setattr__(obj, "samples", _frozen(samples))
         return obj
 
     def _once(self, other, make):
@@ -154,7 +151,7 @@ class _LazyProduct(DiscreteLoop):
     @cached_property
     def samples(self):
         a, b = self._factors
-        return _ingest(_matmul(a.samples, b.samples), "DiscreteLoop")
+        return _frozen(_matmul(a.samples, b.samples))
 
 
 class LoopTangent(_Sampled):
@@ -201,8 +198,9 @@ class LoopTangent(_Sampled):
 
 def constant_loop(dim, num_samples):
     """The constant identity loop."""
-    return DiscreteLoop._trusted(
-        np.broadcast_to(np.eye(dim), (num_samples, dim, dim)))
+    _check_grid(num_samples)
+    return DiscreteLoop._trusted(np.broadcast_to(
+        np.eye(dim, dtype=np.complex128), (num_samples, dim, dim)))
 
 
 def conjugate_tangent(conjugator, tangent):
@@ -255,6 +253,9 @@ def circle_integral(values):
 LOOP_AMPLITUDE = 0.4
 TANGENT_AMPLITUDE = 0.5
 
+# basis entries per slice of the sample axis in _smooth_field (8 MiB)
+_BASIS_ENTRIES = 2**20
+
 
 def _smooth_field(seed, dim, num_samples, modes, stream, constant, decay):
     """Band-limited su(n) field sum_k cos(k theta) A_k + sin(k theta) B_k,
@@ -262,10 +263,12 @@ def _smooth_field(seed, dim, num_samples, modes, stream, constant, decay):
 
     A sequence of streams gives one field per stream, stacked along a
     leading axis; each entry's coefficients are drawn from its own stream.
-    The field is one contraction of the (K, N) basis of constant, cos and
+    The field is a contraction of the (K, N) basis of constant, cos and
     sin rows with the coefficients' real and imaginary parts, summed in
     mode order (as the mode-by-mode sum, bit for bit), from contiguous
     (a, b, s, k) coefficients into the (a, b, s, n) planes of the field.
+    The basis is built and contracted over slices of the sample axis of
+    at most _BASIS_ENTRIES entries (one slice at K N <= _BASIS_ENTRIES).
     """
     _check_grid(num_samples)
     if not 0 <= modes <= num_samples // 8:
@@ -277,18 +280,23 @@ def _smooth_field(seed, dim, num_samples, modes, stream, constant, decay):
     normals = stream_draws(seed, streams.reshape(-1), "standard_normal",
                            scales.shape + (2, dim, dim))
     coeffs = _gaussian_algebra(normals, scales)
-    theta = theta_grid(num_samples)
-    basis = np.empty((len(scales), num_samples))
-    basis[:len(leading)] = 1.0
-    for k in range(1, modes + 1):
-        j = len(leading) + 2 * k - 2          # A_k, then B_k
-        basis[j] = np.cos(k * theta)
-        basis[j + 1] = np.sin(k * theta)
+    parts = [np.ascontiguousarray(c.transpose(2, 3, 0, 1))
+             for c in (coeffs.real, coeffs.imag)]
     field = _entry_major((streams.size, num_samples, dim, dim))
     planes = field.transpose(2, 3, 0, 1)
-    for part in ("real", "imag"):
-        c = np.ascontiguousarray(getattr(coeffs, part).transpose(2, 3, 0, 1))
-        getattr(planes, part)[...] = np.einsum("kn,absk->absn", basis, c)
+    theta = theta_grid(num_samples)
+    step = max(1, _BASIS_ENTRIES // max(len(scales), 1))
+    for lo in range(0, num_samples, step):
+        t = theta[lo:lo + step]
+        basis = np.empty((len(scales), len(t)))
+        basis[:len(leading)] = 1.0
+        for k in range(1, modes + 1):
+            j = len(leading) + 2 * k - 2          # A_k, then B_k
+            basis[j] = np.cos(k * t)
+            basis[j + 1] = np.sin(k * t)
+        for plane, c in zip((planes.real, planes.imag), parts):
+            plane[..., lo:lo + step] = np.einsum("kn,absk->absn", basis, c)
+        del basis                             # one slice alive at a time
     return field.reshape(streams.shape + (num_samples, dim, dim))
 
 

@@ -1,11 +1,12 @@
 """Structured verification reports.
 
 A report is one JSON document: command echo, input digests, per-check
-records (name, residual, tolerance, verdict), and command-specific
-payload.  Serialization is deterministic (sorted keys, shortest
-round-trip floats, a trailing newline), so identical configurations
-produce byte-identical files; wall-clock time is printed to standard
-output only and never enters the document.
+records (name, residual, tolerance, verdict, trials; ``judged`` gives
+each its verdict by one rule), and command-specific payload.
+Serialization is deterministic (sorted keys, shortest round-trip floats,
+a trailing newline), so identical configurations produce byte-identical
+files; wall-clock time is printed to standard output only and never
+enters the document.
 
 Layout: a dict, and a list whose items are all dicts, open one line per
 item indented by two spaces, as ``json.dumps(indent=2)`` writes them.
@@ -18,8 +19,27 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict, dataclass
 
 from . import __version__
+
+
+@dataclass
+class CheckResult:
+    name: str
+    residual: float
+    tolerance: float
+    passed: bool
+    trials: int
+
+
+def judged(name, residual, tolerance, trials=1):
+    """The check row of ``residual`` against ``tolerance``: it passes when
+    residual <= tolerance, so a NaN residual fails.  An exact check
+    passes its failure count against tolerance 0."""
+    return CheckResult(name=name, residual=float(residual),
+                       tolerance=tolerance, passed=bool(residual <= tolerance),
+                       trials=trials)
 
 
 def file_digest(path):
@@ -37,7 +57,7 @@ def build_report(command, parameters, checks, payload=None, inputs=None):
         "command": command,
         "parameters": parameters,
         "inputs": inputs or {},
-        "checks": [c.as_dict() for c in checks],
+        "checks": [asdict(c) for c in checks],
         "payload": payload or {},
         "all_passed": all(c.passed for c in checks),
     }

@@ -10,8 +10,6 @@ row carries both the residual and the tolerance it was judged against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError
@@ -21,6 +19,7 @@ from .forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
 from .loops import (_as_result, _check_grid, random_smooth_loop,
                     random_smooth_tangent)
 from .periods import SphereFamily, equator_rows, sphere_period
+from .report import CheckResult, judged
 from .rng import stream_draws
 from .su import _dagger, _matmul, exp_stack, project_algebra
 
@@ -67,24 +66,6 @@ BATTERY_MODE_OFFSET = 256
 MAX_BATTERY_WORK = 2**27
 MAX_PERIOD_WORK = 2**23
 MAX_PERIOD_ROW = 2**16
-
-
-@dataclass
-class CheckResult:
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
-    trials: int
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "trials": self.trials,
-        }
 
 
 # Trials are synthesized and checked in stacks of
@@ -164,8 +145,7 @@ def run_gamma_battery(dim=2, samples=128, modes=3, trials=100, seed=0,
         for name, values in residuals.items():
             worst[name] = max(worst[name], float(np.max(values)))
 
-    return [CheckResult(name=name, residual=worst[name], tolerance=tolerance,
-                        passed=worst[name] <= tolerance, trials=trials)
+    return [judged(name, worst[name], tolerance, trials)
             for name, tolerance in sorted(TOLERANCES.items())]
 
 
@@ -287,8 +267,6 @@ def run_period_checks(grid=(64, 64), samples=128, degenerate=False):
     checks = [
         CheckResult(name="period_integrality", residual=float(residual),
                     tolerance=tolerance, passed=passed, trials=2),
-        CheckResult(name="period_gram_row", residual=gram_residual,
-                    tolerance=GRAM_ROW_TOLERANCE,
-                    passed=gram_residual <= GRAM_ROW_TOLERANCE, trials=2),
+        judged("period_gram_row", gram_residual, GRAM_ROW_TOLERANCE, 2),
     ]
     return results, checks

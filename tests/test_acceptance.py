@@ -8,23 +8,23 @@ import numpy as np
 import pytest
 
 from centrex.cli import main
-from centrex.cochains import Cochain, delta, delta_stack, random_cochain
+from centrex.cochains import Cochain, delta, delta_stack
 from centrex.cohomology import (cohomologous, exhaustive_second_cohomology,
                                 second_cohomology)
 from centrex.errors import CocycleError
-from centrex.extensions import (build_extension, extension_fingerprint,
-                                is_table_isomorphism, pair_isomorphism)
+from centrex.extensions import build_extension, extension_fingerprint
 from centrex.forms import (d_R_numeric, d_alpha_numeric, delta_form_R,
                            delta_form_alpha, eval_R, eval_alpha,
                            left_invariance_check, left_invariance_fd_residual)
 from centrex.groups import (catalog, cyclic, dihedral, fingerprint,
-                            format_group_table, klein_four, quaternion8,
-                            symmetric3)
+                            klein_four, quaternion8, symmetric3)
 from centrex.loops import random_smooth_loop, random_smooth_tangent
 from centrex.rng import generator
 from centrex.verify import TOLERANCES, run_period_checks
 
 from chart_fd import fd_d_alpha
+from group_helpers import (is_table_isomorphism, pair_isomorphism,
+                           random_cochain)
 
 CATALOG = {"Z2": cyclic(2), "Z3": cyclic(3), "Z4": cyclic(4),
            "Z2xZ2": klein_four(), "S3": symmetric3()}

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from centrex import cli, cochains, cohomology, extensions, verify
 from centrex.cli import _full_delta_zero, main
-from centrex.cochains import Cochain, format_cochain, parse_cochain
+from centrex.cochains import Cochain, parse_cochain
 from centrex.errors import CapacityError
-from centrex.groups import (cyclic, dihedral, direct_product,
-                            format_group_table, generating_set, klein_four,
-                            parse_group_table, symmetric3)
+from centrex.groups import (cyclic, dihedral, direct_product, generating_set,
+                            klein_four, parse_group_table, symmetric3)
 from centrex.report import report_json
+
+from group_helpers import format_cochain, format_group_table
 
 
 @pytest.fixture

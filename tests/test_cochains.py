@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrex.cochains import (Cochain, delta, delta_stack, face_map,
-                              format_cochain, parse_cochain, random_cochain,
-                              violating_triple)
+                              parse_cochain, violating_triple)
 from centrex.groups import (catalog, cyclic, dihedral, direct_product,
                             klein_four, quaternion8, symmetric3)
 from centrex.rng import generator
+
+from group_helpers import format_cochain, random_cochain
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)

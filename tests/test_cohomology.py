@@ -9,7 +9,7 @@ import pytest
 
 import centrex
 from centrex import cohomology
-from centrex.cochains import Cochain, delta, delta_stack, random_cochain
+from centrex.cochains import Cochain, delta, delta_stack
 from centrex.cohomology import (cohomologous, delta_matrix,
                                 exhaustive_coboundaries, exhaustive_cocycles,
                                 exhaustive_second_cohomology, kernel_mod,
@@ -20,6 +20,8 @@ from centrex.groups import (FiniteGroup, catalog, cyclic, dihedral,
                             direct_product, generating_set, klein_four,
                             quaternion8, symmetric3)
 from centrex.rng import generator
+
+from group_helpers import random_cochain
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from centrex.cochains import Cochain, delta, random_cochain
+from centrex.cochains import Cochain, delta
 from centrex.cohomology import cohomologous, second_cohomology
 from centrex.errors import CocycleError
 from centrex.extensions import (build_extension, extension_fingerprint,
-                                extension_fingerprints, is_table_isomorphism,
-                                pair_isomorphism)
+                                extension_fingerprints)
 from centrex.groups import (catalog, cyclic, dihedral, direct_product,
                             fingerprint, klein_four, quaternion8, symmetric3,
                             table_fingerprint)
 from centrex.rng import generator
+
+from group_helpers import (is_table_isomorphism, pair_isomorphism,
+                           random_cochain)
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)

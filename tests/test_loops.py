@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -188,6 +189,7 @@ def test_loop_side_arrays_are_entry_major(monkeypatch):
     assert len(stored) > 50 and len(products) > 50
     for values in stored:
         assert is_entry_major(values) and not values.flags.writeable
+        assert values.dtype == np.complex128
     assert all(is_entry_major(out) for out in products)
 
 
@@ -200,6 +202,19 @@ def test_trusted_keeps_entry_major_arrays_and_copies_others():
     kept = LoopTangent._trusted(interleaved).samples
     assert not np.shares_memory(kept, interleaved)
     assert np.array_equal(kept, x) and is_entry_major(kept)
+
+
+def test_synthesis_basis_is_built_in_sample_slices():
+    # at N = 8192 with 512 modes the whole (1025, N) basis would be 64 MiB
+    tracemalloc.start()
+    try:
+        field = loops._smooth_field(3, 2, 8192, 512, 0, 0.5,
+                                    lambda k: 0.5 / (1 + k**2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.shape == (8192, 2, 2)
+    assert peak < 16 * 2**20
 
 
 def _mode_by_mode_field(seed, dim, num_samples, modes, stream, constant,
@@ -227,10 +242,12 @@ def _mode_by_mode_field(seed, dim, num_samples, modes, stream, constant,
 
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_synthesis_is_the_mode_by_mode_sum(dim):
-    # one contraction, bit for bit the mode-by-mode sum (signed zeros
-    # included), entry-major; modes = 0 gives the zero loop field
-    for num, modes in ((16, 0), (64, 2), (128, 3), (128, 16)):
-        for stream in (0, [3, 5], [[1, 2, 7], [4, 5, 6]]):
+    # bit for bit the mode-by-mode sum (signed zeros included), entry-major;
+    # modes = 0 gives the zero loop field; at N = 2048 with 256 modes a
+    # tangent's 513 x 2048 basis is contracted in two sample slices
+    for num, modes in ((16, 0), (64, 2), (128, 3), (128, 16), (2048, 256)):
+        for stream in ((0, [3, 5], [[1, 2, 7], [4, 5, 6]]) if num < 2048
+                       else ([3, 5],)):
             for constant, decay in ((0.0, lambda k: 0.4 / k**2),
                                     (0.5, lambda k: 0.5 / (1 + k**2))):
                 args = (11, dim, num, modes, stream, constant, decay)
